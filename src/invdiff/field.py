@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ class CoefficientField:
         if values.shape != self.mesh.cell_shape:
             raise FieldArgumentError(
                 f"coefficient shape {values.shape} != cells {self.mesh.cell_shape}")
+        if not np.all(np.isfinite(values)):
+            raise FieldArgumentError("coefficient has non-finite values")
         if not (0 < self.lam < self.Lam):
             raise FieldInvariantError(
                 f"need 0 < lam < Lam, got ({self.lam}, {self.Lam})")
@@ -238,7 +241,11 @@ def read_field_csv(path, mesh: Mesh, location: str = "cells") -> np.ndarray:
                 raise FieldArgumentError(
                     f"index {idx} out of range [{lo},{hi}) for declared mesh")
             pos = tuple(k - lo for k in idx)
-            out[pos] = float(parts[-1])
+            value = float(parts[-1])
+            if not math.isfinite(value):
+                raise FieldArgumentError(
+                    f"non-finite value in field CSV row {line!r}")
+            out[pos] = value
             seen += 1
     if seen != np.prod(shape) or np.any(np.isnan(out)):
         raise FieldArgumentError(

@@ -26,6 +26,13 @@ class TestConstruction:
         with pytest.raises(FieldArgumentError):
             ScalarField(Mesh(2, 4), np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_coefficient(self, bad):
+        # NaN slips past the min/max class-bound comparisons
+        values = np.array([1.0, bad, 1.0, 1.0])
+        with pytest.raises(FieldArgumentError, match="non-finite"):
+            CoefficientField(Mesh(1, 4), values, 0.5, np.inf)
+
     def test_scalar_padding_is_zero_trace(self):
         u = ScalarField(Mesh(1, 4), np.array([1.0, 2.0, 3.0]))
         full = u.padded()
@@ -207,3 +214,10 @@ class TestFieldCsv:
         path.write_text("x,y\n0,1\n")
         with pytest.raises(FieldArgumentError):
             read_field_csv(path, Mesh(1, 8), "cells")
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_rejects_non_finite_value(self, tmp_path, bad):
+        path = tmp_path / "f.csv"
+        path.write_text(f"index,value\n0,1\n1,{bad}\n2,1\n3,1\n")
+        with pytest.raises(FieldArgumentError, match="non-finite"):
+            read_field_csv(path, Mesh(1, 4), "cells")

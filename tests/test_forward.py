@@ -7,7 +7,7 @@ from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
 from invdiff.forward import (RightHandSide, SolveReport, SolverError,
                              solve_1d, solve_fd_2d, series_cube,
                              maximum_principle_check, face_coefficients,
-                             energy_form, load_functional)
+                             energy_form, load_functional, _five_point)
 
 GAMMA_ONE_PLUS_X = (1 - np.log(2)) / np.log(2)  # integrals of t/(1+t), 1/(1+t)
 
@@ -36,6 +36,14 @@ class TestRightHandSide:
                           positive=True)
         f = RightHandSide.constant(mesh, 2.0)
         assert f.positive and f.sup_norm == 2.0 and f.is_nonnegative
+
+    @pytest.mark.parametrize("positive", [True, False])
+    def test_rejects_non_finite_values(self, positive):
+        # NaN slips past the positive flag's min comparison
+        for bad in (np.nan, np.inf):
+            with pytest.raises(FieldArgumentError, match="non-finite"):
+                RightHandSide(Mesh(1, 4), np.array([1.0, bad, 1.0, 1.0]),
+                              positive=positive)
 
 
 class TestSolve1d:
@@ -225,11 +233,53 @@ class TestSolveFd2d:
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_nonconvergence_raises_with_residual(self):
-        mesh, a, f = torsion_setup(2, 64)
+        # the checkerboard of test_discrete_weak_identity_checkerboard: a
+        # constant coefficient converges in one step, since the
+        # preconditioner is then the exact inverse
+        mesh, _, f = torsion_setup(2, 64)
+        q = np.add.outer(np.arange(64) // 16, np.arange(64) // 16) % 2
+        a = CoefficientField(mesh, np.where(q == 0, 0.5, 2.0), 0.5, 2.0)
         with pytest.raises(SolverError) as info:
             solve_fd_2d(a, f, tol=1e-12, max_iter=3)
         assert info.value.residual is not None
         assert info.value.residual > 1e-12
+        assert info.value.iterations == 3
+
+    def test_overflowing_coefficient_breaks_down_at_once(self):
+        # in class bounds, but the harmonic face mean overflows to inf
+        mesh = Mesh(2, 64)
+        a = CoefficientField.constant(mesh, 1e200, 1.0, 1e300)
+        f = RightHandSide.constant(mesh, 1.0)
+        with np.errstate(all="ignore"), pytest.raises(SolverError) as info:
+            solve_fd_2d(a, f)
+        assert info.value.residual is not None
+        assert info.value.iterations <= 2
+
+    def test_iterations_independent_of_mesh(self):
+        for n in (32, 64, 128, 256):
+            mesh = Mesh(2, n)
+            rng = np.random.default_rng(n)
+            a = CoefficientField(mesh, rng.uniform(0.5, 2.0, mesh.cell_shape),
+                                 0.5, 2.0)
+            _, report = solve_fd_2d(a, RightHandSide.constant(mesh, 1.0),
+                                    tol=1e-10)
+            assert report.iterations <= 30, n
+
+    def test_operator_is_the_energy_form(self):
+        mesh = Mesh(2, 32)
+        rng = np.random.default_rng(3)
+        a = CoefficientField(mesh, rng.uniform(0.5, 2.0, mesh.cell_shape),
+                             0.5, 2.0)
+        apply_A = _five_point(a)
+        for _ in range(3):
+            x = rng.standard_normal(mesh.node_shape)
+            y = rng.standard_normal(mesh.node_shape)
+            xAy = float(np.sum(x * apply_A(y)))
+            assert xAy == pytest.approx(
+                energy_form(a, ScalarField(mesh, x), ScalarField(mesh, y)),
+                rel=1e-12)
+            assert xAy == pytest.approx(float(np.sum(y * apply_A(x))),
+                                        rel=1e-12)
 
     def test_input_validation(self):
         mesh, a, f = torsion_setup(2, 8)
