@@ -201,19 +201,22 @@ def _five_point(a: CoefficientField):
 
     Row (i, j) is the flux balance of node (i, j) with the harmonic face
     coefficients of its east, west, north and south faces; neighbours on the
-    boundary ring carry zero Dirichlet data and drop out.
+    boundary ring carry zero Dirichlet data and drop out. apply(x, out)
+    writes A x into out through one scratch array, so that repeated applies
+    allocate nothing.
     """
     ax, ay = face_coefficients(a)
-    aE, aW = ax[1:], ax[:-1]
-    aN, aS = ay[:, 1:], ay[:, :-1]
-    diag = aE + aW + aN + aS
+    diag = ax[1:] + ax[:-1] + ay[:, 1:] + ay[:, :-1]
+    # a face between two interior nodes couples each of them to the other
+    fx, fy = ax[1:-1], ay[:, 1:-1]
+    tmp = np.empty_like(diag)
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        y = diag * x
-        y[:-1] -= aE[:-1] * x[1:]
-        y[1:] -= aW[1:] * x[:-1]
-        y[:, :-1] -= aN[:, :-1] * x[:, 1:]
-        y[:, 1:] -= aS[:, 1:] * x[:, :-1]
+    def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        y = np.multiply(diag, x, out=out)
+        y[:-1] -= np.multiply(fx, x[1:], out=tmp[:-1])
+        y[1:] -= np.multiply(fx, x[:-1], out=tmp[:-1])
+        y[:, :-1] -= np.multiply(fy, x[:, 1:], out=tmp[:, :-1])
+        y[:, 1:] -= np.multiply(fy, x[:, :-1], out=tmp[:, :-1])
         return y
 
     return apply
@@ -227,37 +230,46 @@ def _laplacian_inverse(n: int):
     most Lam/lam at every n, so CG iteration counts do not grow with the
     mesh; the missing coefficient scale does not change the CG iterates.
     Single-worker transforms keep the result independent of threading.
+    apply(r, out) transforms in place in out.
     """
     s = np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
     inv_eig = 1.0 / (4.0 * (s[:, None] + s[None, :]))
 
-    def apply(r: np.ndarray) -> np.ndarray:
-        c = scipy.fft.dstn(r, type=1, workers=1)
+    def apply(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, r)
+        c = scipy.fft.dstn(out, type=1, workers=1, overwrite_x=True)
         c *= inv_eig
         return scipy.fft.idstn(c, type=1, workers=1, overwrite_x=True)
 
     return apply
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
+def _dot(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> float:
     # np.sum keeps the pairwise reduction single threaded and deterministic,
     # unlike BLAS-backed np.dot.
-    return float(np.sum(x * y))
+    return float(np.sum(np.multiply(x, y, out=scratch)))
 
 
 def _pcg(apply_A, apply_M, b, tol, max_iter):
-    norm_b = math.sqrt(_dot(b, b))
+    """Preconditioned CG on preallocated iterate arrays.
+
+    The loop allocates no arrays: every update writes into x, r, z, p, Ap
+    or one scratch array, each of the size of b.
+    """
+    scratch = np.empty_like(b)
+    norm_b = math.sqrt(_dot(b, b, scratch))
     if norm_b == 0.0:
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b)
     r = b.copy()
-    z = apply_M(r)
+    z = apply_M(r, np.empty_like(b))
     p = z.copy()
-    rz = _dot(r, z)
+    Ap = np.empty_like(b)
+    rz = _dot(r, z, scratch)
     rel = 1.0
     for it in range(1, max_iter + 1):
-        Ap = apply_A(p)
-        pAp = _dot(p, Ap)
+        apply_A(p, Ap)
+        pAp = _dot(p, Ap, scratch)
         # both curvatures are positive and finite for an SPD operator; an
         # overflowing coefficient would otherwise iterate on NaN to max_iter
         if not (0.0 < rz < math.inf and 0.0 < pAp < math.inf):
@@ -265,18 +277,19 @@ def _pcg(apply_A, apply_M, b, tol, max_iter):
                 f"PCG breakdown at iteration {it}: r.z={rz:.3e}, p.Ap={pAp:.3e}",
                 residual=rel, iterations=it)
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rel = math.sqrt(_dot(r, r)) / norm_b
+        x += np.multiply(p, alpha, out=scratch)
+        r -= np.multiply(Ap, alpha, out=scratch)
+        rel = math.sqrt(_dot(r, r, scratch)) / norm_b
         if not math.isfinite(rel):
             raise SolverError(
                 f"PCG residual is not finite at iteration {it}",
                 residual=rel, iterations=it)
         if rel <= tol:
             return x, it, rel
-        z = apply_M(r)
-        rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
+        z = apply_M(r, z)
+        rz_new = _dot(r, z, scratch)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverError(
         f"PCG stalled at relative residual {rel:.3e} after {max_iter} iterations",
