@@ -1,6 +1,6 @@
 # Command-line front end: config-driven runs emitting CSV/JSON artifacts.
 #
-# Exit codes: 0 success, 2 config/usage error, 3 numerical failure.
+# Exit codes: 0 success, 2 config/usage or I/O error, 3 numerical failure.
 
 from __future__ import annotations
 
@@ -454,6 +454,9 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"invdiff: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"invdiff: I/O error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -75,6 +75,8 @@ class ScalarField:
         if values.shape != self.mesh.node_shape:
             raise FieldArgumentError(
                 f"scalar shape {values.shape} != interior nodes {self.mesh.node_shape}")
+        if not np.all(np.isfinite(values)):
+            raise FieldArgumentError("scalar field has non-finite values")
 
     def padded(self) -> np.ndarray:
         """Nodal values including the zero boundary ring, shape (N+1,)^d."""
@@ -220,6 +222,9 @@ def write_field_csv(path, mesh: Mesh, values: np.ndarray, location: str = "cells
 
 
 def read_field_csv(path, mesh: Mesh, location: str = "cells") -> np.ndarray:
+    """Read a field CSV written by write_field_csv; rows may come in any
+    order and blank lines are skipped, but every position of the declared
+    mesh must appear exactly once with a finite value."""
     lo, hi, shape = _index_range(mesh, location)
     expected_header = "index,value" if mesh.dim == 1 else "i,j,value"
     with open(path) as f:
@@ -227,27 +232,39 @@ def read_field_csv(path, mesh: Mesh, location: str = "cells") -> np.ndarray:
         if header != expected_header:
             raise FieldArgumentError(
                 f"bad field CSV header {header!r}, expected {expected_header!r}")
-        out = np.full(shape, np.nan)
-        seen = 0
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != mesh.dim + 1:
-                raise FieldArgumentError(f"malformed field CSV row {line!r}")
-            idx = tuple(int(p) for p in parts[:-1])
-            if any(not lo <= k < hi for k in idx):
-                raise FieldArgumentError(
-                    f"index {idx} out of range [{lo},{hi}) for declared mesh")
-            pos = tuple(k - lo for k in idx)
-            value = float(parts[-1])
-            if not math.isfinite(value):
-                raise FieldArgumentError(
-                    f"non-finite value in field CSV row {line!r}")
-            out[pos] = value
-            seen += 1
-    if seen != np.prod(shape) or np.any(np.isnan(out)):
+        # np.loadtxt warns, rather than raising, on a body without rows
+        has_rows = any(line.strip() for line in f)
+    dtype = [(f"i{k}", np.int64) for k in range(mesh.dim)] + [("value", np.float64)]
+    rows = np.empty(0, dtype)
+    if has_rows:
+        try:
+            rows = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                              skiprows=1, ndmin=1)
+        except ValueError as exc:
+            raise FieldArgumentError(f"malformed field CSV body: {exc}") from None
+    idx = np.stack([rows[f"i{k}"] for k in range(mesh.dim)])
+    values = rows["value"]
+    bad = np.flatnonzero(np.any((idx < lo) | (idx >= hi), axis=0))
+    if bad.size:
         raise FieldArgumentError(
-            f"field CSV row count {seen} does not cover declared mesh shape {shape}")
-    return out
+            f"index {tuple(idx[:, bad[0]].tolist())} out of range [{lo},{hi}) "
+            f"for declared mesh")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise FieldArgumentError(
+            f"non-finite value {values[bad[0]]} at index "
+            f"{tuple(idx[:, bad[0]].tolist())} in field CSV")
+    flat = np.ravel_multi_index(tuple(idx - lo), shape)
+    counts = np.bincount(flat, minlength=math.prod(shape))
+    if counts.max(initial=0) > 1:
+        twice = np.unravel_index(np.argmax(counts), shape)
+        raise FieldArgumentError(
+            f"duplicate field CSV rows for index "
+            f"{tuple(int(k) + lo for k in twice)}")
+    if len(values) != counts.size:
+        raise FieldArgumentError(
+            f"field CSV row count {len(values)} does not cover declared mesh "
+            f"shape {shape}")
+    out = np.empty(counts.size)
+    out[flat] = values
+    return out.reshape(shape)

@@ -309,8 +309,12 @@ def solve_fd_2d(a: CoefficientField, f: RightHandSide, tol: float = 1e-10,
     if tol <= 0:
         raise FieldArgumentError(f"tol must be > 0, got {tol}")
     b = mesh.h ** 2 * _node_average_of_cells(f.values)
-    x, iterations, rel = _pcg(_five_point(a), _laplacian_inverse(mesh.n), b,
-                              tol, max_iter)
+    # an in-bounds coefficient can still overflow its harmonic face mean; the
+    # CG breakdown checks then raise SolverError, so numpy's own warnings
+    # about the inf and nan on the way there are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, iterations, rel = _pcg(_five_point(a), _laplacian_inverse(mesh.n),
+                                  b, tol, max_iter)
     u = ScalarField(mesh, x)
     return u, SolveReport(iterations=iterations, final_relative_residual=rel,
                           solver="fd2d")

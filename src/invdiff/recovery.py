@@ -93,25 +93,6 @@ def subcube_bump(partition: Partition, q: int):
     return cell_vals / mass, node_vals / mass
 
 
-def _gradient_norm_on_subcube(u_grad, partition: Partition, q: int) -> float:
-    """||grad u||_{L2(Q)} over the faces strictly inside subcube q."""
-    mesh = partition.mesh
-    m = partition.cells_per_side
-    h = mesh.h
-    if mesh.dim == 1:
-        g = u_grad.components[0]
-        sl = slice(q * m, (q + 1) * m)
-        return float(np.sqrt(h * np.sum(g[sl] ** 2)))
-    gx, gy = u_grad.components
-    q1, q2 = q // partition.n, q % partition.n
-    sx = slice(q1 * m, (q1 + 1) * m)
-    sy = slice(q2 * m, (q2 + 1) * m)
-    inner_x = slice(q1 * m + 1, (q1 + 1) * m)
-    inner_y = slice(q2 * m + 1, (q2 + 1) * m)
-    total = np.sum(gx[sx, inner_y] ** 2) + np.sum(gy[inner_x, sy] ** 2)
-    return float(np.sqrt(h ** 2 * total))
-
-
 def recover_pwc(u: ScalarField, f: RightHandSide, partition: Partition,
                 bounds=None, eps_den: float = 1e-8) -> PwcRecovery:
     """Per-subcube coefficient recovery via interior test bumps.
@@ -121,6 +102,11 @@ def recover_pwc(u: ScalarField, f: RightHandSide, partition: Partition,
     denominator uses grad u rather than a discrete Laplacian, which keeps the
     quotient stable for solutions that are only H1-accurate at interfaces.
 
+    Every phi_Q is a translate of phi_0, and its support ends one cell inside
+    Q, so each sum runs over the m^d cells of Q (m = cells_per_side) with
+    the weights of phi_0. All subcubes are then one contraction of the field
+    viewed as (n, m)^d blocks with an m^d window: O(N^d) in total.
+
     bounds, when given as (lam, Lam), flags recovered values outside
     [lam/10, Lam*10] as out-of-range (they are reported unclamped).
     """
@@ -129,34 +115,52 @@ def recover_pwc(u: ScalarField, f: RightHandSide, partition: Partition,
         raise FieldArgumentError("solution, rhs and partition meshes differ")
     if f.point_masses or f.values.min() <= 0:
         raise FieldArgumentError("recovery requires f >= c_f > 0 with no point masses")
-    h = mesh.h
-    hd = h ** mesh.dim
-    scale = partition.n ** ((mesh.dim + 2) / 2.0)
-    g_u = gradient(u)
-    values = np.empty(partition.n_subcubes)
-    flags = []
-    for q in range(partition.n_subcubes):
-        phi_cells, phi_nodes = subcube_bump(partition, q)
-        interior = phi_nodes[(slice(1, -1),) * mesh.dim]
-        g_phi = gradient(ScalarField(mesh, interior))
-        num = hd * float(np.sum(f.values * phi_cells))
-        den = hd * sum(float(np.sum(cu * cp))
-                       for cu, cp in zip(g_u.components, g_phi.components))
-        grad_local = _gradient_norm_on_subcube(g_u, partition, q)
-        if abs(den) < eps_den * scale * grad_local or den == 0.0:
-            values[q] = np.nan if den == 0.0 else num / den
-            flags.append("unstable-denominator")
-            continue
-        values[q] = num / den
-        if bounds is not None:
-            lam, Lam = bounds
-            if not lam / SANITY_FACTOR <= values[q] <= Lam * SANITY_FACTOR:
-                flags.append("out-of-range")
-                continue
-        flags.append("ok")
-    if all(flag != "ok" for flag in flags):
+    dim, h, n, m = mesh.dim, mesh.h, partition.n, partition.cells_per_side
+    hd = h ** dim
+    scale = n ** ((dim + 2) / 2.0)
+    phi_cells, phi_nodes = subcube_bump(partition, 0)
+    window = (slice(0, m),) * dim
+    node_window = phi_nodes[(slice(0, m + 1),) * dim]
+    # np.diff along axis k gives m faces along k and m+1 face lines across
+    # each other axis; the last of those lies on Q's far edge, outside the
+    # support, so the m^d window keeps every nonzero face.
+    g_phi = [np.diff(node_window, axis=k)[window] / h for k in range(dim)]
+
+    # block subscripts: "ai" in 1D, "aibj" in 2D; a, b index subcubes
+    block = "aibj"[:2 * dim]
+    contract = f"{block},{block[1::2]}->{block[::2]}"
+    square = f"{block},{block}->{block[::2]}"
+
+    def blocks(arr):
+        return arr[(slice(0, mesh.n),) * dim].reshape((n, m) * dim)
+
+    num = hd * np.einsum(contract, blocks(f.values), phi_cells[window])
+    den = np.zeros(num.shape)
+    grad_sq = np.zeros(num.shape)
+    for k, g_u in enumerate(gradient(u).components):
+        g_blocks = blocks(g_u)
+        den += np.einsum(contract, g_blocks, g_phi[k])
+        # ||grad u||_{L2(Q)} counts the faces strictly inside Q: across each
+        # axis other than k, the first face line of the block is Q's edge
+        inner = g_blocks[tuple(slice(None) if ax % 2 == 0 or ax // 2 == k
+                               else slice(1, None) for ax in range(2 * dim))]
+        grad_sq += np.einsum(square, inner, inner)
+    den = (hd * den).ravel()
+    num = num.ravel()
+    grad_local = np.sqrt(hd * grad_sq).ravel()
+
+    values = np.divide(num, den, out=np.full(num.shape, np.nan), where=den != 0.0)
+    unstable = (np.abs(den) < eps_den * scale * grad_local) | (den == 0.0)
+    out_of_range = np.zeros(num.shape, dtype=bool)
+    if bounds is not None:
+        lam, Lam = bounds
+        out_of_range = ~((lam / SANITY_FACTOR <= values)
+                         & (values <= Lam * SANITY_FACTOR))
+    flags = np.where(unstable, "unstable-denominator",
+                     np.where(out_of_range, "out-of-range", "ok"))
+    if not np.any(flags == "ok"):
         raise RecoveryFailureError("every subcube was flagged; recovery failed")
-    return PwcRecovery(partition, values, tuple(flags))
+    return PwcRecovery(partition, values, tuple(flags.tolist()))
 
 
 def recover_1d(u: ScalarField, f: RightHandSide, w_excl: float = None,

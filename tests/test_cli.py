@@ -69,6 +69,14 @@ class TestSolve:
         })
         assert run("solve", cfg, tmp_path / "out") == EXIT_CONFIG
 
+    def test_unusable_out_is_io_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", SOLVE_2D)
+        (tmp_path / "afile").write_text("")
+        assert run("solve", cfg, tmp_path / "afile" / "sub") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invdiff: I/O error:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", SOLVE_2D)
         run("solve", cfg, tmp_path / "a")
@@ -154,6 +162,20 @@ class TestRecover:
             "lambda": 0.5, "Lambda": 2.0,
         })
         assert run("recover", cfg, tmp_path / "rec") == EXIT_CONFIG
+
+    @pytest.mark.parametrize("row", ["1.5,1,2", "1,1,abc"])
+    def test_malformed_u_file(self, tmp_path, capsys, row):
+        (tmp_path / "u.csv").write_text(f"i,j,value\n{row}\n")
+        cfg = write_config(tmp_path, "rec.json", {
+            "mesh": {"dim": 2, "n": 2},
+            "mode": "pwc",
+            "u_file": str(tmp_path / "u.csv"),
+            "rhs": {"constant": 1.0},
+            "partition_n": 1,
+            "lambda": 0.5, "Lambda": 2.0,
+        })
+        assert run("recover", cfg, tmp_path / "rec") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("invdiff: config error:")
 
 
 class TestScan:

@@ -33,6 +33,12 @@ class TestConstruction:
         with pytest.raises(FieldArgumentError, match="non-finite"):
             CoefficientField(Mesh(1, 4), values, 0.5, np.inf)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scalar(self, bad):
+        values = np.array([1.0, bad, 1.0])
+        with pytest.raises(FieldArgumentError, match="non-finite"):
+            ScalarField(Mesh(1, 4), values)
+
     def test_scalar_padding_is_zero_trace(self):
         u = ScalarField(Mesh(1, 4), np.array([1.0, 2.0, 3.0]))
         full = u.padded()
@@ -221,3 +227,32 @@ class TestFieldCsv:
         path.write_text(f"index,value\n0,1\n1,{bad}\n2,1\n3,1\n")
         with pytest.raises(FieldArgumentError, match="non-finite"):
             read_field_csv(path, Mesh(1, 4), "cells")
+
+    # dim-2 nodes on Mesh(2, 3): interior indices 1..2 per axis
+    GOOD_ROWS = ["1,1,0.5", "1,2,1.5", "2,1,2.5", "2,2,3.5"]
+
+    @pytest.mark.parametrize("rows,match", [
+        (["1.5,1,2"] + GOOD_ROWS[1:], "malformed"),
+        (["1,1,abc"] + GOOD_ROWS[1:], "malformed"),
+        (["1,1"] + GOOD_ROWS[1:], "malformed"),
+        (["1,1,0.5,7"] + GOOD_ROWS[1:], "malformed"),
+        (GOOD_ROWS + ["2,2,3.5"], "duplicate"),
+        (GOOD_ROWS[:2] + ["1,2,9.0"] + GOOD_ROWS[3:], "duplicate"),
+        (GOOD_ROWS[:3], "does not cover"),
+        ([], "does not cover"),
+        (GOOD_ROWS[:3] + ["3,2,3.5"], "out of range"),
+        (GOOD_ROWS[:3] + ["2,0,3.5"], "out of range"),
+    ])
+    def test_rejects_malformed_body(self, tmp_path, rows, match):
+        path = tmp_path / "f.csv"
+        path.write_text("i,j,value\n" + "".join(r + "\n" for r in rows))
+        with pytest.raises(FieldArgumentError, match=match):
+            read_field_csv(path, Mesh(2, 3), "nodes")
+
+    def test_accepts_any_row_order_and_blank_lines(self, tmp_path):
+        path = tmp_path / "f.csv"
+        rows = [self.GOOD_ROWS[k] for k in (3, 0, 2, 1)]
+        path.write_text("i,j,value\n\n" + rows[0] + "\n\n"
+                        + "\n".join(rows[1:]) + "\n\n")
+        back = read_field_csv(path, Mesh(2, 3), "nodes")
+        assert np.array_equal(back, [[0.5, 1.5], [2.5, 3.5]])

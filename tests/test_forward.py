@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,15 @@ class TestSolveFd2d:
             solve_fd_2d(a, f)
         assert info.value.residual is not None
         assert info.value.iterations <= 2
+
+    def test_overflowing_coefficient_raises_without_warnings(self):
+        mesh = Mesh(2, 64)
+        a = CoefficientField.constant(mesh, 1e200, 1.0, 1e300)
+        f = RightHandSide.constant(mesh, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError):
+                solve_fd_2d(a, f)
 
     def test_iterations_independent_of_mesh(self):
         for n in (32, 64, 128, 256):

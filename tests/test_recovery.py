@@ -3,11 +3,11 @@ import pytest
 
 from invdiff.mesh import Mesh, Partition
 from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
-                           grid_l2, norm_h10)
+                           gradient, grid_l2, norm_h10)
 from invdiff.forward import RightHandSide, solve_1d, solve_fd_2d
 from invdiff.recovery import (recover_pwc, recover_1d, subcube_bump,
                               MalformedInputError, AmbiguousPivotError,
-                              RecoveryFailureError)
+                              RecoveryFailureError, SANITY_FACTOR)
 
 
 def checkerboard(n_side, blocks, lo=1.0, hi=2.0):
@@ -21,6 +21,128 @@ def checkerboard(n_side, blocks, lo=1.0, hi=2.0):
 def subcube_truth(values, partition):
     return np.array([values[partition.cell_mask(q)][0]
                      for q in range(partition.n_subcubes)])
+
+
+def reference_recover_pwc(u, f, partition, bounds=None, eps_den=1e-8):
+    """recover_pwc as one loop over subcubes, each with its own full-mesh bump
+    and gradient; recover_pwc must agree with it up to summation order.
+
+    Returns the values, the flags and each subcube's stability ratio
+    |den| / (n^{(d+2)/2} ||grad u||_{L2(Q)}), which is flagged below eps_den.
+    """
+    mesh = u.mesh
+    h = mesh.h
+    m = partition.cells_per_side
+    hd = h ** mesh.dim
+    scale = partition.n ** ((mesh.dim + 2) / 2.0)
+    g_u = gradient(u)
+    values = np.empty(partition.n_subcubes)
+    ratios = np.empty(partition.n_subcubes)
+    flags = []
+    for q in range(partition.n_subcubes):
+        phi_cells, phi_nodes = subcube_bump(partition, q)
+        interior = phi_nodes[(slice(1, -1),) * mesh.dim]
+        g_phi = gradient(ScalarField(mesh, interior))
+        num = hd * float(np.sum(f.values * phi_cells))
+        den = hd * sum(float(np.sum(cu * cp))
+                       for cu, cp in zip(g_u.components, g_phi.components))
+        # ||grad u||_{L2(Q)} over the faces strictly inside Q
+        if mesh.dim == 1:
+            sq = np.sum(g_u.components[0][q * m:(q + 1) * m] ** 2)
+        else:
+            gx, gy = g_u.components
+            q1, q2 = q // partition.n, q % partition.n
+            sx = slice(q1 * m, (q1 + 1) * m)
+            sy = slice(q2 * m, (q2 + 1) * m)
+            inner_x = slice(q1 * m + 1, (q1 + 1) * m)
+            inner_y = slice(q2 * m + 1, (q2 + 1) * m)
+            sq = np.sum(gx[sx, inner_y] ** 2) + np.sum(gy[inner_x, sy] ** 2)
+        grad_local = float(np.sqrt(hd * sq))
+        ratios[q] = abs(den) / (scale * grad_local) if grad_local else np.nan
+        if abs(den) < eps_den * scale * grad_local or den == 0.0:
+            values[q] = np.nan if den == 0.0 else num / den
+            flags.append("unstable-denominator")
+            continue
+        values[q] = num / den
+        if bounds is not None:
+            lam, Lam = bounds
+            if not lam / SANITY_FACTOR <= values[q] <= Lam * SANITY_FACTOR:
+                flags.append("out-of-range")
+                continue
+        flags.append("ok")
+    return values, tuple(flags), ratios
+
+
+def pwc_solution(dim, n_side, blocks, seed, lo=1.0, hi=2.0):
+    """Solution of -div(a grad u) = 1 for a random piecewise-constant a."""
+    mesh = Mesh(dim, n_side)
+    part = Partition(mesh, blocks)
+    rng = np.random.default_rng(seed)
+    a = CoefficientField(mesh, rng.uniform(lo, hi, part.n_subcubes)[
+        part.subcube_of_cells()], lo, hi)
+    f = RightHandSide.constant(mesh, 1.0)
+    u = solve_1d(a, f)[0] if dim == 1 else solve_fd_2d(a, f, tol=1e-11)[0]
+    return mesh, a, f, u
+
+
+class TestRecoverPwcMatchesReference:
+    @pytest.mark.parametrize("dim,n_side", [(1, 256), (2, 64)])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_matches_per_subcube_loop(self, dim, n_side, n):
+        mesh, a, f, u = pwc_solution(dim, n_side, 4, seed=7)
+        part = Partition(mesh, n)
+        rec = recover_pwc(u, f, part, bounds=(1.0, 2.0))
+        values, flags, _ = reference_recover_pwc(u, f, part, bounds=(1.0, 2.0))
+        np.testing.assert_allclose(rec.values, values, rtol=1e-12)
+        assert rec.flags == flags
+
+    @pytest.mark.parametrize("dim,n_side", [(1, 256), (2, 64)])
+    @pytest.mark.parametrize("region", ["zero", "oscillating"])
+    def test_unstable_denominator_flags(self, dim, n_side, region):
+        # u is flat (den == 0, value NaN) or oscillates cell by cell (den
+        # tiny against ||grad u||) on the lower half of the first axis
+        mesh, a, f, u = pwc_solution(dim, n_side, 4, seed=3)
+        part = Partition(mesh, 4)
+        v = u.values.copy()
+        low = slice(0, n_side // 2 - 1)
+        parity = (-1.0) ** np.indices(v.shape).sum(axis=0)
+        v[low] = 0.0 if region == "zero" else 1e-3 * parity[low]
+        u = ScalarField(mesh, v)
+        rec = recover_pwc(u, f, part, bounds=(1.0, 2.0), eps_den=0.05)
+        values, flags, _ = reference_recover_pwc(u, f, part, bounds=(1.0, 2.0),
+                                              eps_den=0.05)
+        np.testing.assert_allclose(rec.values, values, rtol=1e-12)
+        assert rec.flags == flags
+        assert flags.count("unstable-denominator") == part.n_subcubes // 2
+        assert np.isnan(values).any() == (region == "zero")
+
+    @pytest.mark.parametrize("dim,n_side", [(1, 256), (2, 64)])
+    def test_stability_threshold_edges(self, dim, n_side):
+        # eps_den just below and just above one subcube's stability ratio
+        # flips that subcube only, so ||grad u||_{L2(Q)} must run over the
+        # same faces as the reference, well beyond summation-order rounding
+        mesh, a, f, u = pwc_solution(dim, n_side, 4, seed=11)
+        part = Partition(mesh, 4)
+        _, _, ratios = reference_recover_pwc(u, f, part)
+        edge = np.sort(ratios)[part.n_subcubes // 2]
+        counts = []
+        for eps_den in (edge * (1 - 1e-9), edge * (1 + 1e-9)):
+            rec = recover_pwc(u, f, part, eps_den=eps_den)
+            _, flags, _ = reference_recover_pwc(u, f, part, eps_den=eps_den)
+            assert rec.flags == flags
+            counts.append(flags.count("unstable-denominator"))
+        assert counts[0] < counts[1]
+
+    @pytest.mark.parametrize("dim,n_side", [(1, 256), (2, 64)])
+    def test_out_of_range_flags(self, dim, n_side):
+        # a in [1, 2]; with bounds (15, 20) the sanity floor is 1.5
+        mesh, a, f, u = pwc_solution(dim, n_side, 4, seed=5)
+        part = Partition(mesh, 4)
+        rec = recover_pwc(u, f, part, bounds=(15.0, 20.0))
+        values, flags, _ = reference_recover_pwc(u, f, part, bounds=(15.0, 20.0))
+        np.testing.assert_allclose(rec.values, values, rtol=1e-12)
+        assert rec.flags == flags
+        assert "out-of-range" in flags and "ok" in flags
 
 
 class TestSubcubeBump:
