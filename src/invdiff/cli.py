@@ -16,7 +16,8 @@ import jsonschema
 from . import __version__
 from .mesh import Mesh, Partition, MeshArgumentError
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
-                    FieldInvariantError, write_field_csv, read_field_csv)
+                    FieldInvariantError, write_csv, write_field_csv,
+                    read_field_csv)
 from .forward import RightHandSide, SolverError, solve_1d, solve_fd_2d
 from .positivity import (compute_weight, fit_pc_beta, DegenerateFitError,
                          write_envelope_csv)
@@ -88,6 +89,8 @@ _SOLVER_SCHEMA = {
     },
     "additionalProperties": False,
 }
+# 2D solver settings that a config's "solver" block overrides
+_SOLVER_DEFAULTS = {"tol": 1e-10, "max_iter": 50000}
 
 SCHEMAS = {
     "solve": {
@@ -277,6 +280,14 @@ def _stamp(config) -> dict:
     return {"config_hash": _config_hash(config), "version": __version__}
 
 
+def _solve(a: CoefficientField, f: RightHandSide, solver: dict):
+    """Forward solve for the mesh dimension of `a`; returns (u, report)."""
+    if a.mesh.dim == 1:
+        u, _, report = solve_1d(a, f)
+        return u, report
+    return solve_fd_2d(a, f, **(_SOLVER_DEFAULTS | solver))
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 
@@ -284,12 +295,7 @@ def cmd_solve(config, out: Path) -> int:
     mesh = _build_mesh(config)
     a = _build_coefficient(config, mesh)
     f = _build_rhs(config, mesh)
-    solver = config.get("solver", {})
-    if mesh.dim == 1:
-        u, _, report = solve_1d(a, f)
-    else:
-        u, report = solve_fd_2d(a, f, tol=solver.get("tol", 1e-10),
-                                max_iter=solver.get("max_iter", 50000))
+    u, report = _solve(a, f, config.get("solver", {}))
     write_field_csv(out / "u.csv", mesh, u.values, "nodes")
     _write_json(out / "report.json", report.to_json_dict() | _stamp(config))
     return EXIT_OK
@@ -326,19 +332,16 @@ def cmd_scan(config, out: Path, seed_override=None) -> int:
     seeds = [seed_override] if seed_override is not None else exp["seeds"]
     if not seeds:
         raise ConfigError("experiment needs a non-empty seed list")
-    solver = config.get("solver", {})
-    tol = solver.get("tol", 1e-10)
+    solver = _SOLVER_DEFAULTS | config.get("solver", {})
+    tol = solver["tol"]
     floor = exp.get("floor", 1e-8)
     if floor < 10.0 * tol:
         raise ConfigError(f"floor {floor} below 10x solver tol {tol}")
     f = RightHandSide.constant(mesh, 1.0)
-    if mesh.dim == 1:
-        def solve(a):
-            return solve_1d(a, f)[0]
-    else:
-        def solve(a):
-            return solve_fd_2d(a, f, tol=tol,
-                               max_iter=solver.get("max_iter", 50000))[0]
+
+    def solve(a):
+        return _solve(a, f, solver)[0]
+
     kwargs = {}
     if "n_pairs" in exp:
         kwargs["n_pairs"] = exp["n_pairs"]
@@ -365,12 +368,7 @@ def cmd_pcfit(config, out: Path) -> int:
     mesh = _build_mesh(config)
     a = _build_coefficient(config, mesh)
     f = _build_rhs(config, mesh)
-    solver = config.get("solver", {})
-    if mesh.dim == 1:
-        u, _, _ = solve_1d(a, f)
-    else:
-        u, _ = solve_fd_2d(a, f, tol=solver.get("tol", 1e-10),
-                           max_iter=solver.get("max_iter", 50000))
+    u, _ = _solve(a, f, config.get("solver", {}))
     w = compute_weight(a, u, f)
     fit = fit_pc_beta(w, config["fit"]["n_bins"])
     write_envelope_csv(out / "envelope.csv", fit)
@@ -397,10 +395,7 @@ def cmd_mollcheck(config, out: Path) -> int:
     vals = [approximation_functional(a, mollify(a, MollifierSpec(t, kernel)), t)
             for t in ts]
     slope = float(np.polyfit(np.log(ts), np.log(vals), 1)[0])
-    with open(out / "moll.csv", "w") as fobj:
-        fobj.write("t,functional\n")
-        for t, v in zip(ts, vals):
-            fobj.write(f"{t:.17g},{v:.17g}\n")
+    write_csv(out / "moll.csv", "t,functional", [ts, vals])
     _write_json(out / "mollcheck.json",
                 {"slope": slope, "field": config["field"], "kernel": kernel}
                 | _stamp(config))

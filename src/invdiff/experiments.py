@@ -11,7 +11,8 @@ import numpy as np
 
 from .mesh import Mesh, Partition
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
-                    grid_l2, norm_h10, coefficient_h1_seminorm, weighted_l2_sq)
+                    grid_l2, norm_h10, coefficient_h1_seminorm, weighted_l2_sq,
+                    write_csv)
 from .forward import RightHandSide, solve_1d
 from .positivity import compute_weight
 
@@ -308,8 +309,7 @@ def nonidentifiability_demo(q: float, n_cells: int = 1024) -> float:
 
 def write_samples_csv(path, samples):
     """Scan samples as CSV with header seed,delta_l2,e_h10,excluded."""
-    with open(path, "w") as f:
-        f.write("seed,delta_l2,e_h10,excluded\n")
-        for s in samples:
-            f.write(f"{s.metadata['seed']},{s.delta_l2:.17g},"
-                    f"{s.e_h10:.17g},{int(s.excluded)}\n")
+    write_csv(path, "seed,delta_l2,e_h10,excluded",
+              [[s.metadata["seed"] for s in samples],
+               [s.delta_l2 for s in samples], [s.e_h10 for s in samples],
+               [s.excluded for s in samples]])

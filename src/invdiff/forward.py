@@ -118,10 +118,14 @@ def solve_1d(a: CoefficientField, f: RightHandSide):
     if f.mesh != mesh:
         raise FieldArgumentError("coefficient and rhs meshes differ")
     h = mesh.h
-    A = 1.0 / a.values
-    F = _antiderivative_at_centers(f)
-    c = float(np.sum(A * F) / np.sum(A))
-    u_full = np.concatenate(([0.0], np.cumsum(h * A * (c - F))))
+    # 1/a overflows for an in-bounds a near the float minimum; checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = 1.0 / a.values
+        F = _antiderivative_at_centers(f)
+        c = float(np.sum(A * F) / np.sum(A))
+        u_full = np.concatenate(([0.0], np.cumsum(h * A * (c - F))))
+    if not np.all(np.isfinite(u_full)):
+        raise SolverError("1D solve overflows to non-finite values", iterations=0)
     scale = float(np.max(np.abs(u_full)))
     closure = abs(float(u_full[-1])) / scale if scale > 0 else 0.0
     u = ScalarField(mesh, u_full[1:-1].copy())

@@ -9,7 +9,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
-                    FieldInvariantError, gradient)
+                    FieldInvariantError, gradient, write_csv)
 from .forward import RightHandSide
 
 __all__ = ["WeightField", "PositivityFit", "DegenerateFitError",
@@ -165,7 +165,4 @@ def check_pc(w: WeightField, c: float, beta: float):
 
 def write_envelope_csv(path, fit: PositivityFit):
     """Envelope points as CSV with header log_dist,log_wmin."""
-    with open(path, "w") as f:
-        f.write("log_dist,log_wmin\n")
-        for d, v in zip(fit.log_dist, fit.log_wmin):
-            f.write(f"{d:.17g},{v:.17g}\n")
+    write_csv(path, "log_dist,log_wmin", [fit.log_dist, fit.log_wmin])

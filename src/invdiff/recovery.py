@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh, Partition
-from .field import ScalarField, FieldArgumentError, gradient
+from .field import ScalarField, FieldArgumentError, gradient, write_csv
 from .forward import RightHandSide, _antiderivative_at_centers
 from .mollify import bump_profile
 
@@ -44,10 +44,8 @@ class PwcRecovery:
     flags: tuple
 
     def write_csv(self, path):
-        with open(path, "w") as f:
-            f.write("q_index,value,flag\n")
-            for q, (v, flag) in enumerate(zip(self.values, self.flags)):
-                f.write(f"{q},{v:.17g},{flag}\n")
+        write_csv(path, "q_index,value,flag",
+                  [np.arange(len(self.flags)), self.values, self.flags])
 
 
 @dataclass(frozen=True)

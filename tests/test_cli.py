@@ -291,3 +291,83 @@ def test_threads_validation(tmp_path):
     cfg = write_config(tmp_path, "c.json", SOLVE_2D)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--threads", "0"]) == EXIT_CONFIG
+
+
+SOLVE_1D = {
+    "mesh": {"dim": 1, "n": 64},
+    "coefficient": {"kind": "constant", "value": 1.0,
+                    "lambda": 0.5, "Lambda": 2.0},
+    "rhs": {"constant": 1.0},
+}
+PWC_2D = {
+    "mesh": {"dim": 2, "n": 16},
+    "coefficient": {"kind": "pwc", "partition_n": 4, "seed": 1,
+                    "lambda": 0.5, "Lambda": 2.0},
+    "rhs": {"constant": 1.0},
+}
+FIT = {"fit": {"n_bins": 6}}
+
+
+def scan_config(dim):
+    return {"mesh": {"dim": dim, "n": 16 if dim == 2 else 256},
+            "experiment": {"family": "smooth-fourier", "seeds": [1],
+                           "n_pairs": 2}}
+
+
+class TestSolverDispatch:
+    # an in-bounds coefficient whose inverse overflows
+    TINY_1D = SOLVE_1D | {"coefficient": {"kind": "constant", "value": 1e-310,
+                                          "lambda": 1e-320, "Lambda": 1.0}}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command,payload", [("solve", TINY_1D),
+                                                 ("pcfit", TINY_1D | FIT)])
+    def test_1d_overflow_is_numerical_failure(self, tmp_path, capsys,
+                                              command, payload):
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert run(command, cfg, tmp_path / "out") == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("invdiff: numerical failure:")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command,payload", [("solve", PWC_2D),
+                                                 ("scan", scan_config(2)),
+                                                 ("pcfit", PWC_2D | FIT)])
+    def test_max_iter_reaches_2d_solver(self, tmp_path, command, payload):
+        for max_iter, code in [(1, EXIT_NUMERICAL), (200, EXIT_OK)]:
+            cfg = write_config(tmp_path, "c.json", payload | {
+                "solver": {"tol": 1e-12, "max_iter": max_iter}})
+            assert run(command, cfg, tmp_path / f"out{max_iter}") == code
+
+
+# the benchmark's tracer wraps these names in invdiff.cli, so every command
+# must call them through the module at call time
+@pytest.mark.parametrize("name,command,payload", [
+    ("solve_1d", "solve", SOLVE_1D),
+    ("solve_1d", "scan", scan_config(1)),
+    ("solve_1d", "pcfit", SOLVE_1D | FIT),
+    ("solve_fd_2d", "solve", PWC_2D),
+    ("solve_fd_2d", "scan", scan_config(2)),
+    ("solve_fd_2d", "pcfit", PWC_2D | FIT),
+    ("write_field_csv", "solve", PWC_2D),
+    ("read_field_csv", "recover", {
+        "mesh": {"dim": 1, "n": 64}, "mode": "1d", "u_file": "u.csv",
+        "rhs": {"constant": 1.0}, "lambda": 0.5, "Lambda": 2.0}),
+])
+def test_commands_call_traced_names(tmp_path, monkeypatch, name, command,
+                                    payload):
+    import invdiff.cli as cli
+    mesh = Mesh(1, 64)
+    x = mesh.node_coords_1d()
+    write_field_csv(tmp_path / "u.csv", mesh, 0.5 * x * (1 - x), "nodes")
+    monkeypatch.chdir(tmp_path)
+    original, calls = getattr(cli, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run(command, cfg, tmp_path / "out") == EXIT_OK
+    assert calls

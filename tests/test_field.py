@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from invdiff.mesh import Mesh
 from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
@@ -205,6 +207,21 @@ class TestFieldCsv:
         write_field_csv(path, mesh, values, location)
         back = read_field_csv(path, mesh, location)
         assert np.array_equal(back, values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]), n=st.integers(2, 9),
+           location=st.sampled_from(["cells", "nodes"]))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, data, dim, n,
+                                     location):
+        mesh = Mesh(dim, n)
+        shape = mesh.cell_shape if location == "cells" else mesh.node_shape
+        values = data.draw(arrays(np.float64, shape, elements=st.floats(
+            allow_nan=False, allow_infinity=False, allow_subnormal=True)))
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        write_field_csv(path, mesh, values, location)
+        back = read_field_csv(path, mesh, location)
+        assert np.array_equal(back, values)
+        assert np.array_equal(np.signbit(back), np.signbit(values))
 
     def test_rejects_mesh_mismatch(self, tmp_path):
         mesh = Mesh(1, 8)
