@@ -25,7 +25,7 @@ from .mollify import MollifierSpec, mollify, approximation_functional, Resolutio
 from .recovery import (recover_pwc, recover_1d, RecoveryFailureError,
                        MalformedInputError, AmbiguousPivotError)
 from .experiments import (coefficient_family, stability_scan, write_samples_csv,
-                          PIVOT_ALPHA0, FAMILY_TAGS)
+                          sine_basis, sine_series, PIVOT_ALPHA0, FAMILY_TAGS)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -252,15 +252,10 @@ def _build_coefficient(config, mesh: Mesh) -> CoefficientField:
     # fourier
     rng = np.random.default_rng([spec.get("seed", 0)])
     k_max = spec.get("k_max", 6)
-    k = np.arange(1, k_max + 1)
-    xi = rng.standard_normal(k_max)
-    x = mesh.cell_centers_1d()
-    series = np.sum(xi[:, None] * k[:, None] ** -2.0
-                    * np.sin(np.pi * k[:, None] * x[None, :]), axis=0)
+    basis = sine_basis(mesh.cell_centers_1d(), k_max)
+    series = sine_series(rng.standard_normal(k_max), basis)
     if mesh.dim == 2:
-        eta = rng.standard_normal(k_max)
-        series_y = np.sum(eta[:, None] * k[:, None] ** -2.0
-                          * np.sin(np.pi * k[:, None] * x[None, :]), axis=0)
+        series_y = sine_series(rng.standard_normal(k_max), basis)
         series = np.add.outer(series, series_y)
     bound = float(np.max(np.abs(series)))
     mid, half = 0.5 * (lam + Lam), 0.5 * (Lam - lam)
@@ -321,7 +316,8 @@ def cmd_recover(config, out: Path) -> int:
     else:
         rec = recover_1d(u, f, config.get("w_excl"), lam=lam, Lam=Lam)
         write_field_csv(out / "a_rec.csv", mesh, rec.values, "cells")
-        payload = {"mode": "1d"} | rec.to_json_dict()
+        payload = ({"mode": "1d", "n_clamped": rec.n_clamped}
+                   | rec.to_json_dict())
     _write_json(out / "recovery.json", payload | _stamp(config))
     return EXIT_OK
 

@@ -18,8 +18,8 @@ from .positivity import compute_weight
 
 __all__ = [
     "PIVOT_ALPHA0", "PairSample", "ExponentFit", "LowerBoundValues",
-    "coefficient_family", "stability_scan", "fit_exponent",
-    "envelope_constant", "lower_bound_closed_form",
+    "sine_basis", "sine_series", "coefficient_family", "stability_scan",
+    "fit_exponent", "envelope_constant", "lower_bound_closed_form",
     "weighted_estimate_monitor", "nonidentifiability_demo",
     "write_samples_csv",
 ]
@@ -62,25 +62,43 @@ def _snap(x: float, n: int) -> float:
     return round(x * n) / n
 
 
-def _fourier_field(rng, x_axes, k_max: int):
-    """Random sine series with k^-2 decay, normalized so sup <= 1 by the
-    coefficient bound (clamp-free class membership)."""
-    dim = len(x_axes)
+def sine_basis(x: np.ndarray, k_max: int) -> np.ndarray:
+    """Rows sin(pi k x) for k = 1..k_max at the points x."""
+    k = np.arange(1, k_max + 1)
+    return np.sin(np.pi * k[:, None] * x[None, :])
+
+
+def sine_series(xi: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_k xi_k k^-2 sin(pi k x) over the rows of a sine_basis."""
+    k = np.arange(1, len(xi) + 1)
+    return np.sum((xi * k ** -2.0)[:, None] * basis, axis=0)
+
+
+def _fourier_sampler(x: np.ndarray, dim: int, k_max: int):
+    """rng -> random sine series with k^-2 decay on the dim-fold product of
+    the points x, normalized so sup <= 1 by the coefficient bound
+    (clamp-free class membership). The sine basis is built once here."""
+    k = np.arange(1, k_max + 1)
     if dim == 1:
-        xi = rng.standard_normal(k_max)
-        k = np.arange(1, k_max + 1)
-        series = np.sum(xi[:, None] * k[:, None] ** -2.0
-                        * np.sin(np.pi * k[:, None] * x_axes[0][None, :]), axis=0)
-        bound = np.sum(np.abs(xi) * k ** -2.0)
+        basis = sine_basis(x, k_max)
     else:
-        xi = rng.standard_normal((k_max, k_max))
-        k = np.arange(1, k_max + 1)
-        sx = np.sin(np.pi * np.outer(k, x_axes[0]))
-        sy = np.sin(np.pi * np.outer(k, x_axes[1]))
+        # np.outer rounds pi k x differently from sine_basis; kept so that
+        # the 2D fields stay bit for bit what they were
+        s = np.sin(np.pi * np.outer(k, x))
         decay = np.outer(k ** -2.0, k ** -2.0)
-        series = sx.T @ (xi * decay) @ sy
-        bound = np.sum(np.abs(xi) * decay)
-    return series / bound if bound > 0 else series
+
+    def draw(rng):
+        if dim == 1:
+            xi = rng.standard_normal(k_max)
+            series = sine_series(xi, basis)
+            bound = np.sum(np.abs(xi) * k ** -2.0)
+        else:
+            xi = rng.standard_normal((k_max, k_max))
+            series = s.T @ (xi * decay) @ s
+            bound = np.sum(np.abs(xi) * decay)
+        return series / bound if bound > 0 else series
+
+    return draw
 
 
 def coefficient_family(tag: str, seed: int, mesh: Mesh, n_pairs: int = 12,
@@ -127,13 +145,14 @@ def coefficient_family(tag: str, seed: int, mesh: Mesh, n_pairs: int = 12,
     pert_amp_max = float(eps_values[-1])
     if base_amp + pert_amp_max * (Lam - lam) >= half:
         raise FieldArgumentError("perturbation amplitudes would leave the class")
-    x_axes = [mesh.cell_centers_1d()] * mesh.dim
+    if tag == "smooth-fourier":
+        fourier_field = _fourier_sampler(mesh.cell_centers_1d(), mesh.dim, k_max)
 
     for j, eps in enumerate(eps_values):
         rng = np.random.default_rng([seed, j])
         if tag == "smooth-fourier":
-            base = _fourier_field(rng, x_axes, k_max)
-            pert = _fourier_field(rng, x_axes, k_max)
+            base = fourier_field(rng)
+            pert = fourier_field(rng)
             a_vals = mid + base_amp * base
             b_vals = a_vals + eps * (Lam - lam) * pert
         else:  # pwc-random

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .mesh import Mesh
 from .field import CoefficientField, ScalarField, FieldArgumentError
@@ -236,6 +235,9 @@ def _laplacian_inverse(n: int):
     Single-worker transforms keep the result independent of threading.
     apply(r, out) transforms in place in out.
     """
+    # imported here, so that only 2D solves pay scipy's ~0.3 s import
+    import scipy.fft
+
     s = np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
     inv_eig = 1.0 / (4.0 * (s[:, None] + s[None, :]))
 
@@ -313,12 +315,15 @@ def solve_fd_2d(a: CoefficientField, f: RightHandSide, tol: float = 1e-10,
     if tol <= 0:
         raise FieldArgumentError(f"tol must be > 0, got {tol}")
     b = mesh.h ** 2 * _node_average_of_cells(f.values)
+    # built before the stencil: the first call imports scipy.fft, whose
+    # long-lived objects would otherwise land above the stencil's arrays in
+    # the heap and keep the pages they free resident
+    apply_M = _laplacian_inverse(mesh.n)
     # an in-bounds coefficient can still overflow its harmonic face mean; the
     # CG breakdown checks then raise SolverError, so numpy's own warnings
     # about the inf and nan on the way there are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        x, iterations, rel = _pcg(_five_point(a), _laplacian_inverse(mesh.n),
-                                  b, tol, max_iter)
+        x, iterations, rel = _pcg(_five_point(a), apply_M, b, tol, max_iter)
     u = ScalarField(mesh, x)
     return u, SolveReport(iterations=iterations, final_relative_residual=rel,
                           solver="fd2d")

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .field import (CoefficientField, FieldArgumentError, grid_l2,
                     coefficient_h1_seminorm)
@@ -66,6 +65,45 @@ class MollifierSpec:
         return w / w.sum()
 
 
+def _fast_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length numpy's FFT transforms quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve_reflect(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """Convolve x with the odd-length stencil w along axis, reflecting x
+    across each end with the edge sample repeated (d c b a | a b c d).
+
+    One FFT product on the field extended by r = len(w)//2 cells; outputs
+    that the circular wrap reaches are the first 2r, which are discarded.
+    """
+    n, r = x.shape[axis], len(w) // 2
+    pad = [(0, 0)] * x.ndim
+    pad[axis] = (r, r)
+    # 'symmetric' repeats the edge sample, the cell-centered reflection
+    # across the physical boundary, and reflects again if r > n
+    ext = np.pad(x, pad, mode="symmetric")
+    length = _fast_length(n + 2 * r)
+    kernel = np.fft.rfft(w, length).reshape(
+        [-1 if ax == axis else 1 for ax in range(x.ndim)])
+    full = np.fft.irfft(np.fft.rfft(ext, length, axis=axis) * kernel, length,
+                        axis=axis)
+    keep = [slice(None)] * x.ndim
+    keep[axis] = slice(2 * r, 2 * r + n)
+    return full[tuple(keep)]
+
+
 def mollify(a: CoefficientField, spec: MollifierSpec) -> CoefficientField:
     """Convolve a with the kernel of radius t, reflecting across the boundary.
 
@@ -75,9 +113,7 @@ def mollify(a: CoefficientField, spec: MollifierSpec) -> CoefficientField:
     w = spec.weights(a.mesh.h)
     out = a.values
     for axis in range(a.mesh.dim):
-        # ndimage 'reflect' duplicates the edge sample, which is exactly the
-        # cell-centered reflection across the physical boundary
-        out = ndimage.convolve1d(out, w, axis=axis, mode="reflect")
+        out = _convolve_reflect(out, w, axis)
     out = np.clip(out, a.lam, a.Lam)  # shave one-ulp convexity overshoot
     return CoefficientField(a.mesh, out, a.lam, a.Lam)
 

@@ -54,6 +54,7 @@ class Recovery1D:
     gamma_hat: float
     values: np.ndarray
     w_excl: float
+    n_clamped: int  # cells whose quotient fell outside [lam, Lam]
 
     @property
     def excluded_window(self):
@@ -168,8 +169,8 @@ def recover_1d(u: ScalarField, f: RightHandSide, w_excl: float = None,
     The pivot gamma is the sign change of the discrete derivative, located
     by linear interpolation; cells inside |x - gamma| < w_excl are filled by
     linear interpolation of the window edge values (the quotient is 0/0 at
-    the pivot), and the result is clamped to [lam, Lam]. w_excl defaults to
-    four mesh cells.
+    the pivot), and the result is clamped to [lam, Lam], counting the clamped
+    cells in n_clamped. w_excl defaults to four mesh cells.
     """
     mesh = u.mesh
     if mesh.dim != 1:
@@ -211,5 +212,6 @@ def recover_1d(u: ScalarField, f: RightHandSide, w_excl: float = None,
         else:
             edge = a[left[-1]] if len(left) else a[right[0]]
             a[inside] = edge
+    n_clamped = int(np.count_nonzero((a < lam) | (a > Lam)))
     a = np.clip(a, lam, Lam)
-    return Recovery1D(mesh, gamma, a, w_excl)
+    return Recovery1D(mesh, gamma, a, w_excl, n_clamped)

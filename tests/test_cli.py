@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from invdiff.cli import main, EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL
+import invdiff
+from invdiff.cli import (main, EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL,
+                         _build_coefficient)
 from invdiff.mesh import Mesh
 from invdiff.field import write_field_csv, read_field_csv
 
@@ -119,6 +125,25 @@ class TestRecover:
         a_rec = read_field_csv(tmp_path / "rec" / "a_rec.csv", mesh, "cells")
         truth = 1.0 + mesh.cell_centers_1d()
         assert np.sqrt(np.mean((a_rec - truth) ** 2)) <= 0.01 * np.sqrt(np.mean(truth ** 2))
+
+    def test_1d_clamped_cells_counted(self, tmp_path):
+        self.prep_linear_solve(tmp_path)
+        payloads = []
+        for lam, Lam in ((0.5, 2.5), (1.2, 1.8)):
+            cfg = write_config(tmp_path, "rec.json", {
+                "mesh": {"dim": 1, "n": 2048},
+                "mode": "1d",
+                "u_file": str(tmp_path / "fwd" / "u.csv"),
+                "rhs": {"constant": 1.0},
+                "w_excl": 0.02,
+                "lambda": lam, "Lambda": Lam,
+            })
+            out = tmp_path / f"rec_{lam}"
+            assert run("recover", cfg, out) == EXIT_OK
+            payloads.append(json.loads((out / "recovery.json").read_text()))
+        assert payloads[0]["n_clamped"] == 0
+        # the truth 1 + x leaves [1.2, 1.8] on about 40% of the cells
+        assert 0.35 * 2048 < payloads[1]["n_clamped"] < 0.45 * 2048
 
     def test_pwc_round_trip(self, tmp_path):
         n = 128
@@ -371,3 +396,53 @@ def test_commands_call_traced_names(tmp_path, monkeypatch, name, command,
     cfg = write_config(tmp_path, "c.json", payload)
     assert run(command, cfg, tmp_path / "out") == EXIT_OK
     assert calls
+
+
+def reference_fourier_coefficient(spec, mesh):
+    """The kind: fourier builder that rebuilt sin(pi k x) for each series."""
+    lam, Lam = spec["lambda"], spec["Lambda"]
+    rng = np.random.default_rng([spec.get("seed", 0)])
+    k_max = spec.get("k_max", 6)
+    k = np.arange(1, k_max + 1)
+    xi = rng.standard_normal(k_max)
+    x = mesh.cell_centers_1d()
+    series = np.sum(xi[:, None] * k[:, None] ** -2.0
+                    * np.sin(np.pi * k[:, None] * x[None, :]), axis=0)
+    if mesh.dim == 2:
+        eta = rng.standard_normal(k_max)
+        series_y = np.sum(eta[:, None] * k[:, None] ** -2.0
+                          * np.sin(np.pi * k[:, None] * x[None, :]), axis=0)
+        series = np.add.outer(series, series_y)
+    bound = float(np.max(np.abs(series)))
+    mid, half = 0.5 * (lam + Lam), 0.5 * (Lam - lam)
+    if bound > 0:
+        series = series * (0.7 * half / bound)
+    return mid + series
+
+
+@pytest.mark.parametrize("dim,n", [(1, 1000), (1, 65536), (2, 33), (2, 128)])
+@pytest.mark.parametrize("seed,k_max", [(0, 6), (5, 1), (17, 10)])
+def test_fourier_coefficient_bytes(dim, n, seed, k_max):
+    spec = {"kind": "fourier", "seed": seed, "k_max": k_max,
+            "lambda": 0.5, "Lambda": 2.0}
+    mesh = Mesh(dim, n)
+    a = _build_coefficient({"coefficient": spec}, mesh)
+    assert np.array_equal(a.values, reference_fourier_coefficient(spec, mesh))
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy.fft is imported by the first 2D solve, not by the CLI module
+    cfg = write_config(tmp_path, "c.json", SOLVE_2D)
+    script = (
+        "import sys\n"
+        "import invdiff.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"code = invdiff.cli.main(['solve', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'scipy.fft' in sys.modules)\n")
+    src = str(Path(invdiff.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=os.environ | {"PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "0 True"]

@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from invdiff import experiments
+from invdiff.cli import main
 from invdiff.mesh import Mesh
 from invdiff.field import CoefficientField, FieldArgumentError
 from invdiff.forward import RightHandSide, solve_1d, solve_fd_2d
@@ -113,6 +116,64 @@ class TestCoefficientFamily:
     def test_unknown_tag(self):
         with pytest.raises(FieldArgumentError):
             list(coefficient_family("nope", 0, Mesh(1, 64)))
+
+
+def reference_fourier_field(rng, x_axes, k_max):
+    """The per-pair sine series, which rebuilt sin(pi k x) for every field."""
+    dim = len(x_axes)
+    if dim == 1:
+        xi = rng.standard_normal(k_max)
+        k = np.arange(1, k_max + 1)
+        series = np.sum(xi[:, None] * k[:, None] ** -2.0
+                        * np.sin(np.pi * k[:, None] * x_axes[0][None, :]), axis=0)
+        bound = np.sum(np.abs(xi) * k ** -2.0)
+    else:
+        xi = rng.standard_normal((k_max, k_max))
+        k = np.arange(1, k_max + 1)
+        sx = np.sin(np.pi * np.outer(k, x_axes[0]))
+        sy = np.sin(np.pi * np.outer(k, x_axes[1]))
+        decay = np.outer(k ** -2.0, k ** -2.0)
+        series = sx.T @ (xi * decay) @ sy
+        bound = np.sum(np.abs(xi) * decay)
+    return series / bound if bound > 0 else series
+
+
+def reference_sampler(x, dim, k_max):
+    return lambda rng: reference_fourier_field(rng, [x] * dim, k_max)
+
+
+class TestSineBasis:
+    @pytest.mark.parametrize("dim,n", [(1, 1000), (1, 4096), (2, 48)])
+    @pytest.mark.parametrize("k_max", [1, 3, 6, 11])
+    def test_family_matches_per_pair_basis(self, monkeypatch, dim, n, k_max):
+        mesh = Mesh(dim, n)
+        for seed in (0, 7, 123):
+            kwargs = dict(n_pairs=4, k_max=k_max)
+            fields = [(a.values, b.values) for a, b, _ in
+                      coefficient_family("smooth-fourier", seed, mesh, **kwargs)]
+            with monkeypatch.context() as m:
+                m.setattr(experiments, "_fourier_sampler", reference_sampler)
+                expect = [(a.values, b.values) for a, b, _ in
+                          coefficient_family("smooth-fourier", seed, mesh,
+                                             **kwargs)]
+            for (a, b), (a_ref, b_ref) in zip(fields, expect, strict=True):
+                assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+    def test_scan_artifacts_match_per_pair_basis(self, tmp_path, monkeypatch):
+        # the scan config of acceptance criterion 12
+        cfg = tmp_path / "scan.json"
+        cfg.write_text(json.dumps({
+            "mesh": {"dim": 1, "n": 1024},
+            "experiment": {"family": "smooth-fourier", "seeds": [2, 3],
+                           "n_pairs": 6}}))
+        assert main(["scan", "--config", str(cfg),
+                     "--out", str(tmp_path / "new")]) == 0
+        monkeypatch.setattr(experiments, "_fourier_sampler", reference_sampler)
+        assert main(["scan", "--config", str(cfg),
+                     "--out", str(tmp_path / "ref")]) == 0
+        for name in ("samples.csv", "fit.json"):
+            assert ((tmp_path / "new" / name).read_bytes()
+                    == (tmp_path / "ref" / name).read_bytes())
 
 
 class TestStabilityScan:

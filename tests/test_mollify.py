@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from invdiff.mesh import Mesh
 from invdiff.field import (CoefficientField, FieldArgumentError, grid_l2,
                            coefficient_h1_seminorm)
 from invdiff.mollify import (MollifierSpec, mollify, approximation_functional,
                              ResolutionError, bump_profile)
+from invdiff.mollify import KERNELS, _fast_length
 
 
 def step_field(n, lam=1.0, Lam=2.0):
@@ -122,3 +125,80 @@ class TestApproximationFunctional:
         _, b = step_field(256)
         with pytest.raises(FieldArgumentError):
             approximation_functional(a, b, 0.05)
+
+
+def reference_mollify(a, spec):
+    """The direct O(N K) mollifier: one ndimage convolution per axis."""
+    w = spec.weights(a.mesh.h)
+    out = a.values
+    for axis in range(a.mesh.dim):
+        out = ndimage.convolve1d(out, w, axis=axis, mode="reflect")
+    return np.clip(out, a.lam, a.Lam)
+
+
+class TestFFTMollifier:
+    @pytest.mark.parametrize("kernel", ["box", "bump"])
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 9), (1, 256), (1, 257),
+                                       (2, 8), (2, 9), (2, 32), (2, 33)])
+    def test_matches_direct_convolution(self, kernel, dim, n):
+        mesh = Mesh(dim, n)
+        rng = np.random.default_rng([dim, n])
+        a = CoefficientField(mesh, rng.uniform(0.5, 2.0, mesh.cell_shape),
+                             0.5, 2.0)
+        # up to t = 0.99 the stencil outgrows the field and the extension
+        # reflects more than once
+        for t in np.geomspace(2 * mesh.h, 0.99, 6):
+            spec = MollifierSpec(t, kernel)
+            np.testing.assert_allclose(mollify(a, spec).values,
+                                       reference_mollify(a, spec),
+                                       rtol=1e-12, atol=0)
+
+    def test_stencil_longer_than_field(self):
+        mesh, a = step_field(8)
+        spec = MollifierSpec(0.99, "box")
+        assert len(spec.weights(mesh.h)) == 19
+        np.testing.assert_allclose(mollify(a, spec).values,
+                                   reference_mollify(a, spec),
+                                   rtol=1e-12, atol=0)
+
+    def test_fast_length(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+        for n in range(1, 2000):
+            expect = next(m for m in range(n, 2 * n + 1) if smooth(m))
+            assert _fast_length(n) == expect
+
+
+mesh_and_spec = st.tuples(
+    st.sampled_from([1, 2]), st.integers(4, 40), st.sampled_from(KERNELS),
+    st.floats(0.0, 1.0))
+
+
+def draw_spec(dim, n, kernel, frac):
+    """Mesh and spec with t spread over [2h, 0.99]."""
+    mesh = Mesh(dim, n)
+    return mesh, MollifierSpec(2 * mesh.h + frac * (0.99 - 2 * mesh.h), kernel)
+
+
+class TestMollifyProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(mesh_and_spec, st.integers(0, 2 ** 32 - 1))
+    def test_stays_in_class_and_in_data_range(self, case, seed):
+        mesh, spec = draw_spec(*case)
+        values = np.random.default_rng(seed).uniform(0.5, 2.0, mesh.cell_shape)
+        a = CoefficientField(mesh, values, 0.5, 2.0)
+        out = mollify(a, spec).values
+        assert out.min() >= a.lam and out.max() <= a.Lam
+        # convex averaging: no value leaves the range of the data either
+        assert out.min() >= values.min() * (1 - 1e-14)
+        assert out.max() <= values.max() * (1 + 1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mesh_and_spec, st.floats(0.5, 2.0))
+    def test_constant_unchanged(self, case, value):
+        mesh, spec = draw_spec(*case)
+        a = CoefficientField.constant(mesh, value, 0.5, 2.0)
+        assert np.allclose(mollify(a, spec).values, value, rtol=0, atol=1e-14)

@@ -354,6 +354,18 @@ class TestRecover1d:
         assert rec.to_json_dict() == {"gamma_hat": rec.gamma_hat,
                                       "w_excl": 0.03}
 
+    def test_clamped_cells_counted(self):
+        mesh = Mesh(1, 512)
+        a = CoefficientField(mesh, 1.0 + mesh.cell_centers_1d(), 0.5, 2.5)
+        f = RightHandSide.constant(mesh, 1.0)
+        u, _, _ = solve_1d(a, f)
+        wide = recover_1d(u, f, w_excl=0.03, lam=0.5, Lam=2.5)
+        assert wide.n_clamped == 0
+        tight = recover_1d(u, f, w_excl=0.03, lam=1.2, Lam=1.8)
+        outside = (wide.values < 1.2) | (wide.values > 1.8)
+        assert tight.n_clamped == np.count_nonzero(outside) > 0
+        assert np.array_equal(tight.values[~outside], wide.values[~outside])
+
     def test_validation(self):
         mesh = Mesh(1, 64)
         u = ScalarField(mesh, np.zeros(mesh.node_shape))
