@@ -20,7 +20,7 @@ from .field import (CoefficientField, ScalarField, FieldArgumentError,
                     read_field_csv)
 from .forward import RightHandSide, SolverError, solve_1d, solve_fd_2d
 from .positivity import (compute_weight, fit_pc_beta, DegenerateFitError,
-                         write_envelope_csv)
+                         write_envelope_csv, _loglog_fit)
 from .mollify import MollifierSpec, mollify, approximation_functional, ResolutionError
 from .recovery import (recover_pwc, recover_1d, RecoveryFailureError,
                        MalformedInputError, AmbiguousPivotError)
@@ -329,10 +329,6 @@ def cmd_scan(config, out: Path, seed_override=None) -> int:
     if not seeds:
         raise ConfigError("experiment needs a non-empty seed list")
     solver = _SOLVER_DEFAULTS | config.get("solver", {})
-    tol = solver["tol"]
-    floor = exp.get("floor", 1e-8)
-    if floor < 10.0 * tol:
-        raise ConfigError(f"floor {floor} below 10x solver tol {tol}")
     f = RightHandSide.constant(mesh, 1.0)
 
     def solve(a):
@@ -354,7 +350,10 @@ def cmd_scan(config, out: Path, seed_override=None) -> int:
         for seed in seeds:
             yield from coefficient_family(exp["family"], seed, mesh, **kwargs)
 
-    samples, fit = stability_scan(all_pairs(), solve, floor=floor, solver_tol=tol)
+    # stability_scan rejects a floor below 10x the solver tolerance before
+    # it draws the first pair
+    samples, fit = stability_scan(all_pairs(), solve, floor=exp.get("floor", 1e-8),
+                                  solver_tol=solver["tol"])
     write_samples_csv(out / "samples.csv", samples)
     _write_json(out / "fit.json", fit.to_json_dict() | _stamp(config))
     return EXIT_OK
@@ -390,7 +389,7 @@ def cmd_mollcheck(config, out: Path) -> int:
     ts = np.geomspace(t_lo, t_hi, config.get("n_t", 8))
     vals = [approximation_functional(a, mollify(a, MollifierSpec(t, kernel)), t)
             for t in ts]
-    slope = float(np.polyfit(np.log(ts), np.log(vals), 1)[0])
+    slope = float(_loglog_fit(np.log(ts), np.log(vals))[0])
     write_csv(out / "moll.csv", "t,functional", [ts, vals])
     _write_json(out / "mollcheck.json",
                 {"slope": slope, "field": config["field"], "kernel": kernel}
@@ -429,6 +428,10 @@ def main(argv=None) -> int:
 
     if args.threads < 1:
         print(f"invdiff: --threads must be >= 1, got {args.threads}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    if args.seed is not None and args.command != "scan":
+        print(f"invdiff: --seed applies to scan only, not {args.command}",
               file=sys.stderr)
         return EXIT_CONFIG
 

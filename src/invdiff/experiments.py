@@ -14,7 +14,7 @@ from .field import (CoefficientField, ScalarField, FieldArgumentError,
                     grid_l2, norm_h10, coefficient_h1_seminorm, weighted_l2_sq,
                     write_csv)
 from .forward import RightHandSide, solve_1d
-from .positivity import compute_weight
+from .positivity import compute_weight, _loglog_fit
 
 __all__ = [
     "PIVOT_ALPHA0", "PairSample", "ExponentFit", "LowerBoundValues",
@@ -209,11 +209,7 @@ def fit_exponent(samples, envelope: bool = False) -> ExponentFit:
                            n_excluded, status="insufficient-range")
     log_e = np.log(np.array([s.e_h10 for s in used]))
     log_d = np.log(np.array([s.delta_l2 for s in used]))
-    alpha, logc = np.polyfit(log_e, log_d, 1)
-    pred = alpha * log_e + logc
-    ss_res = float(np.sum((log_d - pred) ** 2))
-    ss_tot = float(np.sum((log_d - log_d.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    alpha, logc, r2 = _loglog_fit(log_e, log_d)
     c_hat = float(np.exp(logc))
     if envelope:
         c_hat = float(np.max(np.exp(log_d - alpha * log_e)))

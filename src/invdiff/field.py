@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ from .mesh import Mesh
 __all__ = [
     "CoefficientField", "ScalarField", "GradientField",
     "FieldArgumentError", "FieldInvariantError",
-    "gradient", "norm_l2", "grid_l2", "norm_h10", "seminorm_hs",
+    "gradient", "corner_average", "norm_l2", "grid_l2", "norm_h10", "seminorm_hs",
     "coefficient_h1_seminorm", "weighted_l2_sq",
     "write_csv", "write_field_csv", "read_field_csv",
 ]
@@ -82,10 +83,7 @@ class ScalarField:
         """Nodal values including the zero boundary ring, shape (N+1,)^d."""
         n = self.mesh.n
         full = np.zeros((n + 1,) * self.mesh.dim)
-        if self.mesh.dim == 1:
-            full[1:n] = self.values
-        else:
-            full[1:n, 1:n] = self.values
+        full[(slice(1, n),) * self.mesh.dim] = self.values
         return full
 
 
@@ -104,14 +102,25 @@ class GradientField:
 
 def gradient(u: ScalarField) -> GradientField:
     """Divided differences of adjacent nodal values with spacing h."""
-    mesh = u.mesh
     full = u.padded()
-    h = mesh.h
-    if mesh.dim == 1:
-        return GradientField(mesh, (np.diff(full) / h,))
-    gx = np.diff(full, axis=0) / h
-    gy = np.diff(full, axis=1) / h
-    return GradientField(mesh, (gx, gy))
+    return GradientField(u.mesh, tuple(np.diff(full, axis=k) / u.mesh.h
+                                       for k in range(u.mesh.dim)))
+
+
+def corner_average(values: np.ndarray, axes=None) -> np.ndarray:
+    """Mean of the 2^k corners of every unit cell spanned by `axes` (all
+    axes by default); each of those axes loses one entry. Cell values give
+    node values this way and padded node values give cell values. The
+    corners are summed with the first axis varying fastest, which fixes
+    the rounding of every artifact built on them.
+    """
+    axes = range(values.ndim) if axes is None else axes
+    corners = [values]
+    for k in axes:
+        head = (slice(None),) * k
+        corners = ([c[head + (slice(None, -1),)] for c in corners]
+                   + [c[head + (slice(1, None),)] for c in corners])
+    return 0.5 ** len(axes) * functools.reduce(np.add, corners)
 
 
 def grid_l2(mesh: Mesh, values: np.ndarray) -> float:
@@ -125,23 +134,23 @@ def norm_l2(field) -> float:
     return grid_l2(field.mesh, field.values)
 
 
+def _difference_norm(mesh: Mesh, values: np.ndarray) -> float:
+    """sqrt(h^d * sum of the squared divided differences along every axis)."""
+    total = 0.0
+    for k in range(mesh.dim):
+        g = np.diff(values, axis=k) / mesh.h
+        total += float(np.sum(g * g))
+    return float(np.sqrt(mesh.h ** mesh.dim * total))
+
+
 def norm_h10(u: ScalarField) -> float:
     """Discrete H1_0 seminorm ||grad u||_{L2}, faces weighted h^d."""
-    g = gradient(u)
-    total = sum(float(np.sum(c * c)) for c in g.components)
-    return float(np.sqrt(u.mesh.h ** u.mesh.dim * total))
+    return _difference_norm(u.mesh, u.padded())
 
 
 def coefficient_h1_seminorm(a) -> float:
     """Discrete ||grad a||_{L2} of a cell field via adjacent-cell differences."""
-    mesh, values = a.mesh, np.asarray(a.values, dtype=float)
-    h = mesh.h
-    if mesh.dim == 1:
-        g = np.diff(values) / h
-        return float(np.sqrt(h * np.sum(g * g)))
-    gx = np.diff(values, axis=0) / h
-    gy = np.diff(values, axis=1) / h
-    return float(np.sqrt(h ** 2 * (np.sum(gx * gx) + np.sum(gy * gy))))
+    return _difference_norm(a.mesh, np.asarray(a.values, dtype=float))
 
 
 def seminorm_hs(a: CoefficientField, s: float) -> float:

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh
-from .field import CoefficientField, ScalarField, FieldArgumentError
+from .field import (CoefficientField, ScalarField, FieldArgumentError,
+                    corner_average)
 
 __all__ = [
     "RightHandSide", "SolveReport", "SolverError",
@@ -158,12 +159,6 @@ def face_coefficients(a: CoefficientField):
     return ax, ay
 
 
-def _node_average_of_cells(values: np.ndarray) -> np.ndarray:
-    """Four-cell average at the interior nodes, shape (N-1, N-1)."""
-    return 0.25 * (values[:-1, :-1] + values[1:, :-1]
-                   + values[:-1, 1:] + values[1:, 1:])
-
-
 def energy_form(a: CoefficientField, u: ScalarField, v: ScalarField) -> float:
     """Discrete bilinear form sum_faces a_face grad(u).grad(v) h^d.
 
@@ -187,16 +182,10 @@ def energy_form(a: CoefficientField, u: ScalarField, v: ScalarField) -> float:
 def load_functional(f: RightHandSide, v: ScalarField) -> float:
     """Discrete right side sum f v h^d with f averaged to the nodes."""
     mesh = f.mesh
-    if mesh.dim == 1:
-        fbar = 0.5 * (f.values[:-1] + f.values[1:])
-        total = mesh.h * float(np.sum(fbar * v.values))
-        if f.point_masses:
-            x = mesh.node_coords_1d()
-            for loc, w in f.point_masses:
-                total += w * float(np.interp(loc, x, v.values))
-        return total
-    fbar = _node_average_of_cells(f.values)
-    return float(mesh.h ** 2 * np.sum(fbar * v.values))
+    total = float(mesh.h ** mesh.dim * np.sum(corner_average(f.values) * v.values))
+    for loc, w in f.point_masses:  # dim 1 only
+        total += w * float(np.interp(loc, mesh.node_coords_1d(), v.values))
+    return total
 
 
 def _five_point(a: CoefficientField):
@@ -314,7 +303,7 @@ def solve_fd_2d(a: CoefficientField, f: RightHandSide, tol: float = 1e-10,
         raise FieldArgumentError("point-mass right sides are dim-1 only")
     if tol <= 0:
         raise FieldArgumentError(f"tol must be > 0, got {tol}")
-    b = mesh.h ** 2 * _node_average_of_cells(f.values)
+    b = mesh.h ** 2 * corner_average(f.values)
     # built before the stencil: the first call imports scipy.fft, whose
     # long-lived objects would otherwise land above the stencil's arrays in
     # the heap and keep the pages they free resident

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,7 @@ class Mesh:
         """dist(x, boundary) at every cell center, shaped like cells."""
         x = self.cell_centers_1d()
         axis_dist = np.minimum(x, 1.0 - x)
-        if self.dim == 1:
-            return axis_dist
-        return np.minimum(axis_dist[:, None], axis_dist[None, :])
+        return functools.reduce(np.minimum.outer, [axis_dist] * self.dim)
 
 
 def boundary_distance(mesh: Mesh, cell) -> float:
@@ -121,11 +120,10 @@ class Partition:
 
     def subcube_of_cells(self) -> np.ndarray:
         """Subcube index Q for every mesh cell, shaped like cells."""
-        m = self.cells_per_side
-        q1 = np.arange(self.mesh.n) // m
-        if self.mesh.dim == 1:
-            return q1
-        return q1[:, None] * self.n + q1[None, :]
+        q1 = np.arange(self.mesh.n) // self.cells_per_side
+        # row-major subcube index: each further axis multiplies the index by n
+        return functools.reduce(lambda q, qk: np.add.outer(q * self.n, qk),
+                                [q1] * self.mesh.dim)
 
     def cell_mask(self, q: int) -> np.ndarray:
         """Boolean mask of the mesh cells belonging to subcube q."""
@@ -137,7 +135,5 @@ class Partition:
         """Physical center of subcube q."""
         if not 0 <= q < self.n_subcubes:
             raise MeshArgumentError(f"subcube index {q} out of range")
-        side = 1.0 / self.n
-        if self.mesh.dim == 1:
-            return np.array([(q + 0.5) * side])
-        return np.array([(q // self.n + 0.5) * side, (q % self.n + 0.5) * side])
+        index = np.unravel_index(q, (self.n,) * self.mesh.dim)
+        return (np.array(index) + 0.5) * (1.0 / self.n)

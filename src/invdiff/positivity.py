@@ -3,13 +3,14 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import Mesh
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
-                    FieldInvariantError, gradient, write_csv)
+                    FieldInvariantError, corner_average, gradient, write_csv)
 from .forward import RightHandSide
 
 __all__ = ["WeightField", "PositivityFit", "DegenerateFitError",
@@ -62,21 +63,12 @@ class PositivityFit:
 
 def _interpolate_gradient_sq_to_cells(u: ScalarField) -> np.ndarray:
     """|grad u|^2 at cell centers; faces are averaged arithmetically per axis."""
-    g = gradient(u)
-    if u.mesh.dim == 1:
-        return g.components[0] ** 2
-    gx, gy = g.components
-    gxc = 0.5 * (gx[:, :-1] + gx[:, 1:])
-    gyc = 0.5 * (gy[:-1, :] + gy[1:, :])
-    return gxc ** 2 + gyc ** 2
-
-
-def _interpolate_u_to_cells(u: ScalarField) -> np.ndarray:
-    full = u.padded()
-    if u.mesh.dim == 1:
-        return 0.5 * (full[:-1] + full[1:])
-    return 0.25 * (full[:-1, :-1] + full[1:, :-1]
-                   + full[:-1, 1:] + full[1:, 1:])
+    dim = u.mesh.dim
+    # component k lies on faces across axis k, between the cell centers
+    # along every other axis
+    return functools.reduce(np.add, (
+        corner_average(g, [j for j in range(dim) if j != k]) ** 2
+        for k, g in enumerate(gradient(u).components)))
 
 
 def compute_weight(a: CoefficientField, u: ScalarField,
@@ -88,13 +80,24 @@ def compute_weight(a: CoefficientField, u: ScalarField,
     if f.point_masses:
         raise FieldArgumentError("weight computation needs a smooth right side")
     w = a.values * _interpolate_gradient_sq_to_cells(u) \
-        + f.values * _interpolate_u_to_cells(u)
+        + f.values * corner_average(u.padded())
     if f.is_nonnegative:
         floor = -1e-12 * max(float(w.max()), 0.0)
         if w.min() < floor:
             raise FieldInvariantError(
                 f"weight reaches {w.min():.3e} although f >= 0")
     return WeightField(mesh, w)
+
+
+def _loglog_fit(log_x: np.ndarray, log_y: np.ndarray):
+    """Least-squares line log_y ~ slope * log_x + intercept; returns
+    (slope, intercept, r2), with r2 = 1 for a constant log_y."""
+    slope, intercept = np.polyfit(log_x, log_y, 1)
+    pred = slope * log_x + intercept
+    ss_res = float(np.sum((log_y - pred) ** 2))
+    ss_tot = float(np.sum((log_y - log_y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return slope, intercept, r2
 
 
 def fit_pc_beta(w: WeightField, n_bins: int) -> PositivityFit:
@@ -135,11 +138,7 @@ def fit_pc_beta(w: WeightField, n_bins: int) -> PositivityFit:
             f"only {len(log_d)} usable envelope bins out of {n_bins}")
     log_d = np.asarray(log_d)
     log_w = np.asarray(log_w)
-    beta, intercept = np.polyfit(log_d, log_w, 1)
-    pred = beta * log_d + intercept
-    ss_res = float(np.sum((log_w - pred) ** 2))
-    ss_tot = float(np.sum((log_w - log_w.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    beta, intercept, r2 = _loglog_fit(log_d, log_w)
     return PositivityFit(c_hat=float(np.exp(intercept)), beta_hat=float(beta),
                          n_bins=n_bins, r2=r2, log_dist=log_d, log_wmin=log_w)
 

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,16 +79,13 @@ def subcube_bump(partition: Partition, q: int):
         raise FieldArgumentError(
             f"subcubes of P_{partition.n} too small for a one-cell margin at N={mesh.n}")
     center = partition.subcube_center(q)
-    xc = mesh.cell_centers_1d()
-    xn = np.arange(mesh.n + 1) * h
-    if mesh.dim == 1:
-        cell_vals = bump_profile((xc - center[0]) / radius)
-        node_vals = bump_profile((xn - center[0]) / radius)
-    else:
-        cell_vals = np.multiply.outer(bump_profile((xc - center[0]) / radius),
-                                      bump_profile((xc - center[1]) / radius))
-        node_vals = np.multiply.outer(bump_profile((xn - center[0]) / radius),
-                                      bump_profile((xn - center[1]) / radius))
+
+    def bump(x):
+        return functools.reduce(np.multiply.outer,
+                                [bump_profile((x - c) / radius) for c in center])
+
+    cell_vals = bump(mesh.cell_centers_1d())
+    node_vals = bump(np.arange(mesh.n + 1) * h)
     mass = float(mesh.h ** mesh.dim * cell_vals.sum())
     return cell_vals / mass, node_vals / mass
 

@@ -318,6 +318,21 @@ def test_threads_validation(tmp_path):
                  "--threads", "0"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("solve", SOLVE_2D),
+    ("pcfit", SOLVE_2D | {"fit": {"n_bins": 8}}),
+])
+def test_seed_outside_scan_fails_fast(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--seed", "5"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--seed" in err
+    assert not out.exists()
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+
+
 SOLVE_1D = {
     "mesh": {"dim": 1, "n": 64},
     "coefficient": {"kind": "constant", "value": 1.0,
