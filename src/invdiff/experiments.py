@@ -196,12 +196,9 @@ def stability_scan(pairs, solve, floor: float = 1e-8, solver_tol=None):
     return samples, fit
 
 
-def fit_exponent(samples, envelope: bool = False) -> ExponentFit:
-    """Least-squares log-log fit of delta_l2 against e_h10.
-
-    With envelope=True the constant is raised until every included sample
-    satisfies delta <= c * e^alpha (conservative claims).
-    """
+def fit_exponent(samples) -> ExponentFit:
+    """Least-squares log-log fit of delta_l2 against e_h10; envelope_constant
+    gives the conservative constant for the fitted exponent."""
     used = [s for s in samples if not s.excluded]
     n_excluded = len(samples) - len(used)
     if len(used) < 2:
@@ -211,8 +208,6 @@ def fit_exponent(samples, envelope: bool = False) -> ExponentFit:
     log_d = np.log(np.array([s.delta_l2 for s in used]))
     alpha, logc, r2 = _loglog_fit(log_e, log_d)
     c_hat = float(np.exp(logc))
-    if envelope:
-        c_hat = float(np.max(np.exp(log_d - alpha * log_e)))
     status = "ok"
     span = float(np.exp(log_e.max() - log_e.min()))
     if len(used) < 8 or span < 100.0:

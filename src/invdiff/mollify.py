@@ -35,15 +35,12 @@ class MollifierSpec:
 
     t: float
     kernel: str = "box"
-    boundary: str = "reflect"
 
     def __post_init__(self):
         if not 0.0 < self.t < 1.0:
             raise FieldArgumentError(f"t must be in (0,1), got {self.t}")
         if self.kernel not in KERNELS:
             raise FieldArgumentError(f"kernel must be one of {KERNELS}")
-        if self.boundary != "reflect":
-            raise FieldArgumentError("only reflect boundary handling is supported")
 
     def weights(self, h: float) -> np.ndarray:
         """Symmetric 1D stencil with unit mass on a grid of spacing h."""

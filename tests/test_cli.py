@@ -445,13 +445,74 @@ def test_fourier_coefficient_bytes(dim, n, seed, k_max):
     assert np.array_equal(a.values, reference_fourier_coefficient(spec, mesh))
 
 
+def with_value(payload, path, value):
+    """A deep copy of payload with the entry at the slash path set (or added)."""
+    payload = json.loads(json.dumps(payload))
+    *parents, last = path.split("/")
+    node = payload
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(last) if isinstance(node, list) else last] = value
+    return payload
+
+
+FOURIER_1D = SOLVE_1D | {"coefficient": {"kind": "fourier", "lambda": 0.5,
+                                         "Lambda": 2.0}}
+
+
+# JSON Schema counts 64.0 as an integer and 2.0 as equal to the enum member 2;
+# the config checker takes neither, nor a bool for a number
+@pytest.mark.parametrize("command,payload,path,value", [
+    ("solve", SOLVE_1D, "mesh/n", 64.0),
+    ("solve", SOLVE_1D, "mesh/dim", 2.0),
+    ("scan", scan_config(1), "experiment/seeds/0", 1.0),
+    ("solve", SOLVE_2D, "solver/max_iter", 100.0),
+    ("pcfit", SOLVE_1D | FIT, "fit/n_bins", 6.0),
+    ("mollcheck", {"mesh": {"dim": 1, "n": 256}, "field": "step"}, "n_t", 5.0),
+    ("solve", PWC_2D, "coefficient/partition_n", 2.0),
+    ("scan", scan_config(1), "experiment/partition_n", 2.0),
+    ("solve", FOURIER_1D, "coefficient/k_max", 3.0),
+    ("solve", PWC_2D, "coefficient/seed", 1.0),
+    ("scan", scan_config(1), "experiment/n_pairs", 3.0),
+    ("solve", SOLVE_1D, "mesh/dim", True),
+    ("solve", SOLVE_1D, "coefficient/value", True),
+])
+def test_integral_floats_and_bools_rejected(tmp_path, capsys, command, payload,
+                                            path, value):
+    cfg = write_config(tmp_path, "c.json", with_value(payload, path, value))
+    assert run(command, cfg, tmp_path / "out") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"invdiff: config error: bad config at {path}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+# json.load parses NaN and Infinity, and 1e999 as an infinite float
+@pytest.mark.parametrize("command,payload,path,shown", [
+    ("scan", TestScan.SCAN, "experiment/floor", "NaN"),
+    ("solve", SOLVE_2D, "solver/tol", "Infinity"),
+    ("solve", SOLVE_2D, "coefficient/value", "-Infinity"),
+    ("solve", SOLVE_2D, "solver/tol", "1e999"),
+])
+def test_non_finite_numbers_rejected(tmp_path, capsys, command, payload, path,
+                                     shown):
+    cfg = write_config(tmp_path, "c.json", with_value(payload, path, "@"))
+    Path(cfg).write_text(Path(cfg).read_text().replace('"@"', shown))
+    assert run(command, cfg, tmp_path / "out") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invdiff: config error:") and shown in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy.fft is imported by the first 2D solve, not by the CLI module
+    # scipy.fft is imported by the first 2D solve, not by the CLI module, and
+    # configs are checked without a JSON Schema library
     cfg = write_config(tmp_path, "c.json", SOLVE_2D)
+    unwanted = ("scipy", "jsonschema", "referencing", "rpds", "attrs", "attr")
     script = (
         "import sys\n"
         "import invdiff.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {unwanted}))\n"
         f"code = invdiff.cli.main(['solve', '--config', {cfg!r}, "
         f"'--out', {str(tmp_path / 'out')!r}])\n"
         "print(code, 'scipy.fft' in sys.modules)\n")

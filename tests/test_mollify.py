@@ -35,8 +35,6 @@ class TestSpecAndKernels:
             MollifierSpec(0.0)
         with pytest.raises(FieldArgumentError):
             MollifierSpec(0.1, kernel="gauss")
-        with pytest.raises(FieldArgumentError):
-            MollifierSpec(0.1, boundary="constant")
 
     def test_bump_profile_support(self):
         assert bump_profile(np.array([0.0]))[0] == pytest.approx(np.exp(-1.0))
