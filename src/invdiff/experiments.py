@@ -70,8 +70,12 @@ def sine_basis(x: np.ndarray, k_max: int) -> np.ndarray:
 
 def sine_series(xi: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """sum_k xi_k k^-2 sin(pi k x) over the rows of a sine_basis."""
-    k = np.arange(1, len(xi) + 1)
-    return np.sum((xi * k ** -2.0)[:, None] * basis, axis=0)
+    c = xi * np.arange(1, len(xi) + 1) ** -2.0
+    # row by row, the order np.sum(axis=0) adds rows in, so the same bits
+    acc = c[0] * basis[0]
+    for ck, row in zip(c[1:], basis[1:]):
+        acc += ck * row
+    return acc
 
 
 def _fourier_sampler(x: np.ndarray, dim: int, k_max: int):

@@ -201,22 +201,170 @@ def weighted_l2_sq(mesh: Mesh, ratio_sq: np.ndarray, w: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# rows per write: the whole text of an N=512 field at once adds ~40 MiB of peak memory
-_CSV_CHUNK_ROWS = 2048
-_CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d", "U": "%s", "O": "%s"}
+# CSV text. Each column of a chunk of rows becomes a uint8 matrix with one
+# line of text per row, NUL wherever a position holds no character; the
+# matrices are joined with "," and "\n" columns and the NULs deleted.
+# Floats are written as "%.17g" writes them (17 significant digits, which
+# read back to the same float64), integers and booleans as integers,
+# strings as they are.
+
+# rows per write: the temporaries of one chunk take ~3 MiB, under the
+# working set of the solves whose fields are written
+_CSV_CHUNK_ROWS = 8192
+_U8, _U64 = np.uint8, np.uint64
+
+
+def _group_table() -> np.ndarray:
+    """The text of every k < 10**4 as four ASCII bytes in one uint32:
+    entry k without leading zeros (all NUL for 0), entry 10**4 + k with
+    them, and entry 2 * 10**4 is "0"."""
+    digit = np.frombuffer(b"0123456789", _U8)
+    full = np.empty((10, 10, 10, 10, 4), _U8)  # full[a, b, c, d] = "abcd"
+    for j in range(4):
+        full[..., j] = digit.reshape((10,) + (1,) * (3 - j))
+    full = full.reshape(10 ** 4, 4)
+    bare = full.copy()
+    for j in range(4):
+        bare[:10 ** (3 - j), j] = 0
+    zero = np.array([[0, 0, 0, ord("0")]], _U8)
+    return np.concatenate([bare, full, zero]).view(np.uint32).ravel()
+
+
+_GROUPS = _group_table()
+
+
+def _int_text(v) -> np.ndarray:
+    """%d of int64 or uint64 values: a sign, then groups of four digits."""
+    negative = v < 0
+    mag = v.astype(_U64)
+    mag[negative] = 0 - mag[negative]  # modulo 2**64, so right for -2**63 too
+    n_groups = (len(str(int(mag.max(initial=0)))) + 3) // 4
+    text = np.empty((len(v), n_groups + 1), np.uint32)
+    text[:, 0] = negative * ord("-")
+    for j in range(n_groups):  # j counts groups from the last digit
+        idx = mag // 10 ** (4 * j) % 10 ** 4
+        if j + 1 < n_groups:  # below the leading group, zeros are digits
+            idx += (mag >= 10 ** (4 * j + 4)) * _U64(10 ** 4)
+        text[:, n_groups - j] = _GROUPS[idx]
+    text[mag == 0, -1] = _GROUPS[2 * 10 ** 4]
+    return text.view(_U8)
+
+
+def _python_float_text(values) -> list:
+    """%.17g of each value in turn, for the floats the exact integer path
+    leaves out: zeros, subnormals, NaN, infinities, |x| <= 1e-11, |x| >= 1e16."""
+    return [("%.17g" % v).encode() for v in values.tolist()]
+
+
+_POW5 = np.array([5 ** k for k in range(28)], dtype=_U64)  # 5**27 < 2**63
+_LOW32, _ONE = _U64(2 ** 32 - 1), _U64(1)
+
+
+def _scaled_round(m, e, k):
+    """round(m * 2**e * 10**k), ties to even, in exact integer arithmetic,
+    for uint64 m < 2**53, int64 e and k in [0, 27] with a result < 2**60."""
+    p = _POW5[k]
+    m0, m1, p0, p1 = m & _LOW32, m >> 32, p & _LOW32, p >> 32
+    low = m0 * p0
+    mid = m0 * p1 + m1 * p0
+    lo = low + (mid << 32)
+    hi = m1 * p1 + (mid >> 32) + (lo < low)  # m * 5**k = hi * 2**64 + lo
+    # shift by e + k: right by r = -(e + k) bits when that is positive
+    r = np.maximum(-(e + k), 0).astype(_U64)
+    q = (lo >> r) | ((hi << 1) << (63 - r))
+    rem2, unit = (lo & ((_ONE << r) - _ONE)) << 1, _ONE << r  # 2 * remainder, 2**r
+    q += (rem2 > unit) | ((rem2 == unit) & (q & _ONE == _ONE))
+    return q << np.maximum(e + k, 0).astype(_U64)
+
+
+def _float_layout(E: int, n_sig: int):
+    """Where %.17g puts the characters of a value with decimal exponent E
+    in [-11, 15] and n_sig significant digits, as (keep, chars), 44 bytes
+    each: the sign, "0.000", digit i at 6 + 2i with a slot for the point
+    after it, and "e-dd". keep is 1 where the digit laid out at a position
+    shows, chars holds the characters other than sign and digits."""
+    fixed = E >= -4  # fixed notation for -4 <= E < 17, else d.ddde-dd
+    point = E if fixed else 0  # the digit the point follows
+    shown = max(n_sig, point + 1)  # trailing zeros are dropped
+    keep = bytes(6) + b"\1\0" * shown + bytes(38 - 2 * shown)
+    prefix = b"0.000"[:1 - E] if fixed and E < 0 else b""
+    # a point with no digit after it is dropped too
+    body = bytes(1 + 2 * point) + b"." if 0 <= point < n_sig - 1 else b""
+    suffix = b"" if fixed else b"e-%02d" % -E
+    chars = bytes(1) + prefix.ljust(5, b"\0") + body.ljust(34, b"\0") + suffix
+    return keep, chars.ljust(44, b"\0")
+
+
+# one layout per class (E, n_sig), class (E + 11) * 17 + n_sig - 1
+_KEEP, _CHARS = (np.frombuffer(b"".join(rows), _U8).reshape(-1, 44) for rows in zip(
+    *(_float_layout(E, n_sig) for E in range(-11, 16) for n_sig in range(1, 18))))
+
+
+def _float_text(x) -> np.ndarray:
+    """%.17g of floats, one 44-byte row each."""
+    x = x.astype(np.float64)
+    ax = np.abs(x)
+    exact = (ax > 1e-11) & (ax < 1e16)
+    bits = np.where(exact, ax, 1.0).view(_U64)
+    m = (bits & _U64(2 ** 52 - 1)) | _U64(2 ** 52)
+    b = (bits >> 52).astype(np.int64) - 1023  # |x| = m * 2**(b - 52)
+    e = b - 52
+    # decimal exponent E from floor(b log10 2), one low at most; the 17
+    # digits are q = round(|x| * 10**(16 - E)), with 10**16 <= q < 10**17
+    k = np.minimum(16 - ((b * 78913) >> 18), 27)
+    q = _scaled_round(m, e, k)
+    high = np.flatnonzero(q >= 10 ** 17)
+    k[high] -= 1
+    q[high] = _scaled_round(m[high], e[high], k[high])
+    E = 16 - k
+
+    groups = np.empty((len(x), 5), np.uint32)
+    lead = q // 10 ** 16
+    groups[:, 0] = _GROUPS[lead]
+    rest = q - lead * 10 ** 16
+    for j, p in enumerate((12, 8, 4, 0), 1):
+        groups[:, j] = _GROUPS[rest // 10 ** p % 10 ** 4 + 10 ** 4]
+    digits = groups.view(_U8)[:, 3:]
+    n_sig = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    layout = (E + 11) * 17 + n_sig - 1
+    text = np.zeros((len(x), 44), _U8)
+    text[:, 6:40:2] = digits
+    text *= _KEEP[layout]
+    text += _CHARS[layout]
+    text[:, 0] = np.signbit(x) * ord("-")
+    others = np.flatnonzero(~exact)
+    if others.size:
+        text[others] = np.array(_python_float_text(x[others]), "S44").view(
+            _U8).reshape(-1, 44)
+    return text
+
+
+def _str_text(values) -> np.ndarray:
+    """str of each value, UTF-8 encoded, NUL-padded to the longest."""
+    text = np.array([str(v).encode() for v in values.tolist()], dtype=bytes)
+    return text.view(_U8).reshape(len(values), -1)
+
+
+_CSV_TEXT = {"f": _float_text, "U": _str_text, "O": _str_text,
+             "i": lambda c: _int_text(c.astype(np.int64)),
+             "b": lambda c: _int_text(c.astype(np.int64)),
+             "u": lambda c: _int_text(c.astype(_U64))}
 
 
 def write_csv(path, header: str, columns) -> None:
-    """Write a CSV artifact: `header`, then line k from entry k of each column.
-    Floats get 17 significant digits, which read back to the same float64;
-    integers and booleans are written as integers, strings as they are."""
+    """Write a CSV artifact: `header`, then line k from entry k of each column."""
     columns = [np.asarray(c) for c in columns]
-    fmt = ",".join(_CSV_FORMATS[c.dtype.kind] for c in columns) + "\n"
-    with open(path, "w") as f:
-        f.write(header + "\n")
+    texts = [_CSV_TEXT[c.dtype.kind] for c in columns]
+    with open(path, "wb") as f:
+        f.write(header.encode() + b"\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            chunk = (c[start:start + _CSV_CHUNK_ROWS].tolist() for c in columns)
-            f.write("".join(fmt % row for row in zip(*chunk)))
+            parts = [text(c[start:start + _CSV_CHUNK_ROWS])
+                     for text, c in zip(texts, columns)]
+            sep = np.full((len(parts[0]), 1), ord(","), _U8)
+            end = np.full((len(parts[0]), 1), ord("\n"), _U8)
+            rows = np.concatenate([p for part in parts for p in (part, sep)][:-1]
+                                  + [end], axis=1)
+            f.write(rows.tobytes().translate(None, b"\0"))
 
 
 # Field CSV format: header `index,value` (dim 1) or `i,j,value` (dim 2),

@@ -10,6 +10,10 @@ import numpy as np
 __all__ = ["Mesh", "Partition", "boundary_distance", "region_split"]
 
 
+# cells per mesh: 2**27 float64 values are 1 GiB, for each array of a solve
+MAX_CELLS = 2 ** 27
+
+
 class MeshArgumentError(ValueError):
     """Invalid mesh, cell index, or partition argument."""
 
@@ -31,6 +35,10 @@ class Mesh:
         if self.n_cells_per_side < 2:
             raise MeshArgumentError(
                 f"n_cells_per_side must be >= 2, got {self.n_cells_per_side}")
+        if self.n_cells_per_side ** self.dim > MAX_CELLS:
+            raise MeshArgumentError(
+                f"mesh of {self.n_cells_per_side}^{self.dim} cells exceeds the "
+                f"limit of {MAX_CELLS} cells")
 
     @property
     def n(self) -> int:

@@ -522,3 +522,16 @@ def test_cli_import_loads_no_scipy(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "0 True"]
+
+
+# a mesh past 2**27 cells is refused before any array is allocated
+@pytest.mark.parametrize("payload,mesh", [
+    (SOLVE_2D, {"dim": 2, "n": 10 ** 10}),
+    (SOLVE_1D, {"dim": 1, "n": 2 ** 27 + 1}),
+])
+def test_oversized_mesh_is_config_error(tmp_path, capsys, payload, mesh):
+    cfg = write_config(tmp_path, "c.json", payload | {"mesh": mesh})
+    assert run("solve", cfg, tmp_path / "out") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invdiff: config error:") and "exceeds" in err
+    assert len(err.strip().splitlines()) == 1

@@ -321,3 +321,21 @@ def test_envelope_constant_and_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "seed,delta_l2,e_h10,excluded"
     assert lines[3].endswith(",1")
+
+
+def reference_sine_series(xi, basis):
+    """sine_series as it was: every product row formed at once, then summed."""
+    k = np.arange(1, len(xi) + 1)
+    return np.sum((xi * k ** -2.0)[:, None] * basis, axis=0)
+
+
+@pytest.mark.parametrize("n", [7, 1000, 65536])
+@pytest.mark.parametrize("k_max", [1, 3, 6, 9])
+def test_sine_series_bits_match_summed_products(n, k_max):
+    x = (np.arange(n) + 0.5) / n
+    basis = experiments.sine_basis(x, k_max)
+    rng = np.random.default_rng(10 * n + k_max)
+    for _ in range(3):
+        xi = rng.standard_normal(k_max)
+        assert np.array_equal(experiments.sine_series(xi, basis),
+                              reference_sine_series(xi, basis))

@@ -3,6 +3,7 @@ import pytest
 
 from invdiff.mesh import (Mesh, Partition, boundary_distance, region_split,
                           MeshArgumentError)
+from invdiff.mesh import MAX_CELLS
 
 
 def test_mesh_geometry():
@@ -17,6 +18,14 @@ def test_mesh_validation():
         Mesh(3, 8)
     with pytest.raises(MeshArgumentError):
         Mesh(1, 1)
+
+
+def test_mesh_cell_limit():
+    assert Mesh(1, MAX_CELLS).n == MAX_CELLS
+    assert Mesh(2, 11585).n == 11585  # 11585**2 <= 2**27 < 11586**2
+    for dim, n in [(1, MAX_CELLS + 1), (2, 11586), (2, 10 ** 10)]:
+        with pytest.raises(MeshArgumentError, match="exceeds"):
+            Mesh(dim, n)
 
 
 def test_boundary_distance_examples():
