@@ -381,7 +381,7 @@ def cmd_recover(config, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_scan(config, out: Path, seed_override=None) -> int:
+def cmd_scan(config, out: Path, seed_override=None, threads: int = 1) -> int:
     mesh = _build_mesh(config)
     exp = config["experiment"]
     seeds = [seed_override] if seed_override is not None else exp["seeds"]
@@ -389,9 +389,12 @@ def cmd_scan(config, out: Path, seed_override=None) -> int:
         raise ConfigError("experiment needs a non-empty seed list")
     solver = _SOLVER_DEFAULTS | config.get("solver", {})
     f = RightHandSide.constant(mesh, 1.0)
+    reports = []
 
     def solve(a):
-        return _solve(a, f, solver)[0]
+        u, report = _solve(a, f, solver)
+        reports.append(report)
+        return u
 
     kwargs = {}
     if "n_pairs" in exp:
@@ -412,9 +415,16 @@ def cmd_scan(config, out: Path, seed_override=None) -> int:
     # stability_scan rejects a floor below 10x the solver tolerance before
     # it draws the first pair
     samples, fit = stability_scan(all_pairs(), solve, floor=exp.get("floor", 1e-8),
-                                  solver_tol=solver["tol"])
+                                  solver_tol=solver["tol"], workers=threads)
     write_samples_csv(out / "samples.csv", samples)
-    _write_json(out / "fit.json", fit.to_json_dict() | _stamp(config))
+    # aggregates that do not depend on the order the solves finished in
+    iterations = [r.iterations for r in reports]
+    effort = {"solves": len(reports), "iterations_min": min(iterations),
+              "iterations_max": max(iterations),
+              "iterations_sum": sum(iterations),
+              "residual_max": max(r.final_relative_residual for r in reports)}
+    _write_json(out / "fit.json",
+                fit.to_json_dict() | {"solver": effort} | _stamp(config))
     return EXIT_OK
 
 
@@ -479,8 +489,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="max internal worker threads (results are "
-                             "identical for any value)")
+                        help="scan pairs measured at once (other commands "
+                             "ignore it; results are identical for any value)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the experiment seed list (scan only)")
     args = parser.parse_args(argv)
@@ -499,7 +509,8 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "scan":
-            return cmd_scan(config, out, seed_override=args.seed)
+            return cmd_scan(config, out, seed_override=args.seed,
+                            threads=args.threads)
         return COMMANDS[args.command](config, out)
     except _CONFIG_ERRORS as exc:
         print(f"invdiff: config error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,28 +175,54 @@ def coefficient_family(tag: str, seed: int, mesh: Mesh, n_pairs: int = 12,
         yield a, b, meta
 
 
-def stability_scan(pairs, solve, floor: float = 1e-8, solver_tol=None):
+def stability_scan(pairs, solve, floor: float = 1e-8, solver_tol=None,
+                   workers: int = 1):
     """Solve both members of every pair and fit the log-log stability slope.
 
     solve maps a CoefficientField to a ScalarField. Samples with
     e_h10 < floor are excluded from the fit. The fit needs at least 8
     usable samples spanning two decades of e_h10, otherwise its status is
     insufficient-range.
+
+    With workers > 1, up to workers pairs are measured at once on a thread
+    pool, so solve must be safe to call from several threads. The pairs are
+    drawn in the calling thread and the samples come back in pair order, so
+    they do not depend on workers.
     """
     if floor <= 0:
         raise FieldArgumentError(f"floor must be > 0, got {floor}")
     if solver_tol is not None and floor < 10.0 * solver_tol:
         raise FieldArgumentError(
             f"floor {floor} must be at least 10x the solver tolerance {solver_tol}")
-    samples = []
-    for a, b, meta in pairs:
+    if workers < 1:
+        raise FieldArgumentError(f"workers must be >= 1, got {workers}")
+
+    def measure(a, b, meta):
         u_a = solve(a)
         u_b = solve(b)
         diff = ScalarField(a.mesh, u_a.values - u_b.values)
         delta = grid_l2(a.mesh, a.values - b.values)
         e = norm_h10(diff)
-        samples.append(PairSample(delta_l2=delta, e_h10=e, metadata=meta,
-                                  excluded=e < floor))
+        return PairSample(delta_l2=delta, e_h10=e, metadata=meta,
+                          excluded=e < floor)
+
+    if workers == 1:
+        # in the calling thread: a pool thread would take the solves' arrays
+        # from a malloc arena of its own, which stays resident
+        samples = [measure(a, b, meta) for a, b, meta in pairs]
+    else:
+        # imported here, so that importing the CLI does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
+        # at most workers pairs in flight; Executor.map would draw and
+        # submit every pair at once, so all their fields would be resident
+        samples, pending = [], deque()
+        with ThreadPoolExecutor(workers) as pool:
+            for a, b, meta in pairs:
+                if len(pending) == workers:
+                    samples.append(pending.popleft().result())
+                pending.append(pool.submit(measure, a, b, meta))
+            samples.extend(future.result() for future in pending)
     fit = fit_exponent(samples)
     return samples, fit
 

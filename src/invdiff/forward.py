@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -188,20 +189,22 @@ def load_functional(f: RightHandSide, v: ScalarField) -> float:
     return total
 
 
-def _five_point(a: CoefficientField):
+def _five_point(a: CoefficientField, tmp: np.ndarray | None = None):
     """Matrix-free five-point operator on (N-1, N-1) interior-node arrays.
 
     Row (i, j) is the flux balance of node (i, j) with the harmonic face
     coefficients of its east, west, north and south faces; neighbours on the
     boundary ring carry zero Dirichlet data and drop out. apply(x, out)
-    writes A x into out through one scratch array, so that repeated applies
-    allocate nothing.
+    writes A x into out through the scratch array tmp (made here if not
+    given), so that repeated applies allocate nothing. tmp holds nothing
+    between applies, so a caller may use it for other work in between.
     """
     ax, ay = face_coefficients(a)
     diag = ax[1:] + ax[:-1] + ay[:, 1:] + ay[:, :-1]
     # a face between two interior nodes couples each of them to the other
     fx, fy = ax[1:-1], ay[:, 1:-1]
-    tmp = np.empty_like(diag)
+    if tmp is None:
+        tmp = np.empty_like(diag)
 
     def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         y = np.multiply(diag, x, out=out)
@@ -212,6 +215,20 @@ def _five_point(a: CoefficientField):
         return y
 
     return apply
+
+
+@functools.lru_cache(maxsize=1)
+def _inverse_eigenvalues(n: int) -> np.ndarray:
+    """1/eigenvalues of the unit five-point Dirichlet Laplacian on the
+    (n-1, n-1) interior nodes, in sine-transform order.
+
+    Cached for the last n and read-only, so that the solves of a scan, also
+    concurrent ones, share one table.
+    """
+    s = np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
+    inv_eig = 1.0 / (4.0 * (s[:, None] + s[None, :]))
+    inv_eig.setflags(write=False)
+    return inv_eig
 
 
 def _laplacian_inverse(n: int):
@@ -227,8 +244,7 @@ def _laplacian_inverse(n: int):
     # imported here, so that only 2D solves pay scipy's ~0.3 s import
     import scipy.fft
 
-    s = np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
-    inv_eig = 1.0 / (4.0 * (s[:, None] + s[None, :]))
+    inv_eig = _inverse_eigenvalues(n)
 
     def apply(r: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.copyto(out, r)
@@ -245,18 +261,18 @@ def _dot(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> float:
     return float(np.sum(np.multiply(x, y, out=scratch)))
 
 
-def _pcg(apply_A, apply_M, b, tol, max_iter):
+def _pcg(apply_A, apply_M, b, tol, max_iter, scratch):
     """Preconditioned CG on preallocated iterate arrays.
 
-    The loop allocates no arrays: every update writes into x, r, z, p, Ap
-    or one scratch array, each of the size of b.
+    b becomes the residual r and is overwritten. The loop allocates no
+    arrays: every update writes into x, r, z, p, Ap or scratch, each of the
+    size of b; apply_A may use scratch too, as it holds nothing across calls.
     """
-    scratch = np.empty_like(b)
     norm_b = math.sqrt(_dot(b, b, scratch))
     if norm_b == 0.0:
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b)
-    r = b.copy()
+    r = b
     z = apply_M(r, np.empty_like(b))
     p = z.copy()
     Ap = np.empty_like(b)
@@ -308,11 +324,13 @@ def solve_fd_2d(a: CoefficientField, f: RightHandSide, tol: float = 1e-10,
     # long-lived objects would otherwise land above the stencil's arrays in
     # the heap and keep the pages they free resident
     apply_M = _laplacian_inverse(mesh.n)
+    scratch = np.empty_like(b)
     # an in-bounds coefficient can still overflow its harmonic face mean; the
     # CG breakdown checks then raise SolverError, so numpy's own warnings
     # about the inf and nan on the way there are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        x, iterations, rel = _pcg(_five_point(a), apply_M, b, tol, max_iter)
+        x, iterations, rel = _pcg(_five_point(a, scratch), apply_M, b, tol,
+                                  max_iter, scratch)
     u = ScalarField(mesh, x)
     return u, SolveReport(iterations=iterations, final_relative_residual=rel,
                           solver="fd2d")

@@ -257,6 +257,65 @@ class TestScan:
         assert (out1 / "samples.csv").read_bytes() != \
             (out2 / "samples.csv").read_bytes()
 
+    # scan pairs run on --threads workers; every byte must stay the same
+    @pytest.mark.parametrize("experiment", [
+        {"family": "smooth-fourier", "seeds": [2, 3], "n_pairs": 6},
+        {"family": "pwc-random", "seeds": [4, 5], "n_pairs": 6},
+    ])
+    def test_2d_scan_bytes_for_any_threads(self, tmp_path, experiment):
+        cfg = write_config(tmp_path, "scan.json", {
+            "mesh": {"dim": 2, "n": 32}, "experiment": experiment})
+        outs = [tmp_path / f"t{k}" for k in (1, 2, 3)]
+        for k, out in zip((1, 2, 3), outs):
+            assert main(["scan", "--config", cfg, "--out", str(out),
+                         "--threads", str(k)]) == EXIT_OK
+        for name in ("samples.csv", "fit.json"):
+            ref = (outs[0] / name).read_bytes()
+            assert all((out / name).read_bytes() == ref for out in outs[1:])
+
+    @pytest.mark.parametrize("dim,threads", [(1, 1), (2, 1), (2, 2)])
+    def test_fit_reports_solver_effort(self, tmp_path, dim, threads):
+        cfg = write_config(tmp_path, "scan.json", {
+            "mesh": {"dim": dim, "n": 16 if dim == 2 else 256},
+            "solver": {"tol": 1e-10},
+            "experiment": {"family": "smooth-fourier", "seeds": [1, 2],
+                           "n_pairs": 3}})
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--threads", str(threads)]) == EXIT_OK
+        effort = json.loads((tmp_path / "out" / "fit.json").read_text())["solver"]
+        assert set(effort) == {"solves", "iterations_min", "iterations_max",
+                               "iterations_sum", "residual_max"}
+        assert effort["solves"] == 12
+        if dim == 1:
+            assert effort["iterations_max"] == effort["iterations_sum"] == 0
+        else:
+            assert 1 <= effort["iterations_min"] <= effort["iterations_max"]
+            assert (12 * effort["iterations_min"] <= effort["iterations_sum"]
+                    <= 12 * effort["iterations_max"])
+            assert 0 < effort["residual_max"] <= 1e-10
+
+    def test_solver_effort_survives_thread_switches(self, tmp_path):
+        # more workers than cores, switching threads as often as possible:
+        # a lost report or a mixed-up sample would show
+        cfg = write_config(tmp_path, "scan.json", {
+            "mesh": {"dim": 1, "n": 256},
+            "experiment": {"family": "smooth-fourier", "seeds": [1, 2, 3],
+                           "n_pairs": 12}})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in (1, 4):
+                assert main(["scan", "--config", cfg, "--out",
+                             str(tmp_path / f"t{k}"), "--threads",
+                             str(k)]) == EXIT_OK
+        finally:
+            sys.setswitchinterval(interval)
+        fits = [json.loads((tmp_path / f"t{k}" / "fit.json").read_text())
+                for k in (1, 4)]
+        assert fits[0] == fits[1] and fits[1]["solver"]["solves"] == 72
+        assert ((tmp_path / "t1" / "samples.csv").read_bytes()
+                == (tmp_path / "t4" / "samples.csv").read_bytes())
+
 
 class TestPcfit:
     def test_1d_torsion_flat(self, tmp_path):
@@ -522,6 +581,26 @@ def test_cli_import_loads_no_scipy(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "0 True"]
+
+
+def test_thread_pool_loads_only_for_parallel_scans(tmp_path):
+    # concurrent.futures is imported by a scan with --threads above 1 only
+    cfg = write_config(tmp_path, "c.json", scan_config(1))
+    script = (
+        "import sys\n"
+        "import invdiff.cli\n"
+        "loaded = lambda: 'concurrent.futures' in sys.modules\n"
+        "print(loaded())\n"
+        "for k in ('1', '2'):\n"
+        f"    code = invdiff.cli.main(['scan', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}, '--threads', k])\n"
+        "    print(code, loaded())\n")
+    src = str(Path(invdiff.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=os.environ | {"PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "0 False", "0 True"]
 
 
 # a mesh past 2**27 cells is refused before any array is allocated

@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from invdiff import experiments
 from invdiff.cli import main
 from invdiff.mesh import Mesh
 from invdiff.field import CoefficientField, FieldArgumentError
-from invdiff.forward import RightHandSide, solve_1d, solve_fd_2d
+from invdiff.forward import (RightHandSide, SolverError, solve_1d,
+                             solve_fd_2d)
 from invdiff.experiments import (PIVOT_ALPHA0, coefficient_family,
                                  stability_scan, fit_exponent,
                                  envelope_constant, lower_bound_closed_form,
@@ -339,3 +342,110 @@ def test_sine_series_bits_match_summed_products(n, k_max):
         xi = rng.standard_normal(k_max)
         assert np.array_equal(experiments.sine_series(xi, basis),
                               reference_sine_series(xi, basis))
+
+
+def scan_pairs(count=6, n=64):
+    """count distinct 1D pairs; pair k moves the coefficient by 0.02 (k + 1)."""
+    mesh = Mesh(1, n)
+    a = CoefficientField.constant(mesh, 1.0, 0.5, 2.0)
+    return [(a, CoefficientField.constant(mesh, 1.0 + 0.02 * (k + 1), 0.5, 2.0),
+             {"seed": k}) for k in range(count)]
+
+
+class TestScanWorkers:
+    """stability_scan measures up to `workers` pairs at once on threads and
+    returns the samples in pair order."""
+
+    def test_samples_in_pair_order_for_any_workers(self):
+        pairs = scan_pairs()
+        f = RightHandSide.constant(pairs[0][0].mesh, 1.0)
+        slow = pairs[0][1]
+
+        def solve(a):
+            if a is slow:  # pair 0 finishes after every other pair
+                time.sleep(0.15)
+            return solve_1d(a, f)[0]
+
+        reference, ref_fit = stability_scan(iter(pairs), solve, floor=1e-12)
+        assert [s.metadata["seed"] for s in reference] == list(range(6))
+        for workers in (1, 2, 3):
+            samples, fit = stability_scan(iter(pairs), solve, floor=1e-12,
+                                          workers=workers)
+            assert [s.metadata["seed"] for s in samples] == list(range(6))
+            assert samples == reference
+            assert fit == ref_fit
+
+    def test_two_workers_overlap_two_solves(self):
+        # each pair's second solve waits until another solve reaches the
+        # barrier, which only a concurrent solve can do
+        pairs = scan_pairs(count=2)
+        f = RightHandSide.constant(pairs[0][0].mesh, 1.0)
+        barrier = threading.Barrier(2, timeout=5)
+        seconds = [b for _, b, _ in pairs]
+
+        def solve(a):
+            if any(a is b for b in seconds):
+                barrier.wait()
+            return solve_1d(a, f)[0]
+
+        samples, _ = stability_scan(iter(pairs), solve, floor=1e-12, workers=2)
+        assert [s.metadata["seed"] for s in samples] == [0, 1]
+
+    def test_one_worker_solves_in_the_calling_thread(self):
+        pairs = scan_pairs()
+        f = RightHandSide.constant(pairs[0][0].mesh, 1.0)
+        threads = set()
+
+        def solve(a):
+            threads.add(threading.get_ident())
+            return solve_1d(a, f)[0]
+
+        stability_scan(iter(pairs), solve, floor=1e-12, workers=1)
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pairs_are_drawn_as_workers_free_up(self, workers):
+        pairs = scan_pairs(count=8)
+        f = RightHandSide.constant(pairs[0][0].mesh, 1.0)
+        seconds = [b for _, b, _ in pairs]
+        lock = threading.Lock()
+        finished = []  # pairs whose second solve has returned
+        ahead = []  # pairs drawn but not finished, at each draw
+
+        def draw():
+            for k, pair in enumerate(pairs):
+                with lock:
+                    ahead.append(k - len(finished))
+                yield pair
+
+        def solve(a):
+            u = solve_1d(a, f)[0]
+            time.sleep(0.01)
+            if any(a is b for b in seconds):
+                with lock:
+                    finished.append(a)
+            return u
+
+        stability_scan(draw(), solve, floor=1e-12, workers=workers)
+        assert len(finished) == 8
+        # the next pair is drawn while at most workers pairs are in flight;
+        # Executor.map would draw them all at once
+        assert max(ahead) <= workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_solver_error_reaches_the_caller(self, workers):
+        pairs = scan_pairs()
+        f = RightHandSide.constant(pairs[0][0].mesh, 1.0)
+        bad = pairs[1][1]
+
+        def solve(a):
+            if a is bad:
+                raise SolverError("stalled", residual=1.0, iterations=3)
+            return solve_1d(a, f)[0]
+
+        with pytest.raises(SolverError):
+            stability_scan(iter(pairs), solve, floor=1e-12, workers=workers)
+
+    def test_workers_validated(self):
+        with pytest.raises(FieldArgumentError):
+            stability_scan(iter(scan_pairs()), lambda a: None, workers=0)
