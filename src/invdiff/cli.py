@@ -129,7 +129,8 @@ SCHEMAS = {
                 "type": "object",
                 "properties": {
                     "family": {"enum": list(FAMILY_TAGS)},
-                    "seeds": {"type": "array", "items": {"type": "integer"}},
+                    "seeds": {"type": "array",
+                              "items": {"type": "integer", "minimum": 0}},
                     "n_pairs": {"type": "integer", "minimum": 1},
                     "floor": {"type": "number", "exclusiveMinimum": 0},
                     "partition_n": {"type": "integer", "minimum": 1},
@@ -247,10 +248,12 @@ def _finite(text: str) -> float:
 
 def _load_config(path, command: str) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             config = json.load(f, parse_float=_finite, parse_constant=_finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     _check(config, SCHEMAS[command])
@@ -498,6 +501,9 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print(f"invdiff: --threads must be >= 1, got {args.threads}",
               file=sys.stderr)
+        return EXIT_CONFIG
+    if args.seed is not None and args.seed < 0:
+        print(f"invdiff: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None and args.command != "scan":
         print(f"invdiff: --seed applies to scan only, not {args.command}",

@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -157,36 +158,27 @@ def seminorm_hs(a: CoefficientField, s: float) -> float:
     """Gagliardo H^s seminorm by double sum over cell centers.
 
     Quadrature excludes the diagonal x = y. Used for scaling/boundedness
-    classification only; no equivalence constants are claimed. Cost is
-    O(N^2) pairs, so dim 2 requires N <= 128.
+    classification only; no equivalence constants are claimed. Centers p
+    and q lie h|o| apart for the lattice offset o = q - p, so the sum runs
+    over the offsets o > 0 (lexicographically, each unordered pair once),
+    each a difference of two overlapping slices: O(N^d) memory and O(N^2d)
+    time, so dim 2 requires N <= 128.
     """
     if not 0 < s < 1:
         raise FieldArgumentError(f"s must be in (0,1), got {s}")
     mesh = a.mesh
     if mesh.dim == 2 and mesh.n > 128:
         raise FieldArgumentError("dim-2 Gagliardo sum limited to N <= 128")
-    h = mesh.h
-    exponent = mesh.dim + 2 * s
-    if mesh.dim == 1:
-        x = mesh.cell_centers_1d()
-        dx = np.abs(x[:, None] - x[None, :])
-        da = a.values[:, None] - a.values[None, :]
-        np.fill_diagonal(dx, 1.0)  # diagonal da is 0, denominator value irrelevant
-        total = np.sum(da * da / dx ** exponent)
-        return float(np.sqrt(total * h ** 2))
-    x = mesh.cell_centers_1d()
-    xs = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
-    vals = a.values.reshape(-1)
+    n, exponent = mesh.n, mesh.dim + 2 * s
     total = 0.0
-    chunk = 1024
-    for start in range(0, len(vals), chunk):
-        stop = min(start + chunk, len(vals))
-        diff = xs[start:stop, None, :] - xs[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
-        da = vals[start:stop, None] - vals[None, :]
-        mask = r > 0
-        total += np.sum(da[mask] ** 2 / r[mask] ** exponent)
-    return float(np.sqrt(total * h ** 4))
+    for o in itertools.product(range(1 - n, n), repeat=mesh.dim):
+        if o <= (0,) * mesh.dim:
+            continue
+        lo = tuple(slice(max(-k, 0), n - max(k, 0)) for k in o)
+        hi = tuple(slice(max(k, 0), n - max(-k, 0)) for k in o)
+        da = a.values[lo] - a.values[hi]
+        total += float(np.sum(da * da)) / sum(k * k for k in o) ** (exponent / 2)
+    return math.sqrt(2.0 * total * mesh.h ** (mesh.dim - 2 * s))
 
 
 def weighted_l2_sq(mesh: Mesh, ratio_sq: np.ndarray, w: np.ndarray) -> float:
@@ -399,13 +391,17 @@ def read_field_csv(path, mesh: Mesh, location: str = "cells") -> np.ndarray:
     mesh must appear exactly once with a finite value."""
     lo, hi, shape = _index_range(mesh, location)
     expected_header = _FIELD_HEADERS[mesh.dim]
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != expected_header:
-            raise FieldArgumentError(
-                f"bad field CSV header {header!r}, expected {expected_header!r}")
-        # np.loadtxt warns, rather than raising, on a body without rows
-        has_rows = any(line.strip() for line in f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip()
+            if header != expected_header:
+                raise FieldArgumentError(
+                    f"bad field CSV header {header!r}, expected {expected_header!r}")
+            # np.loadtxt warns, rather than raising, on a body without rows
+            has_rows = any(line.strip() for line in f)
+    except UnicodeDecodeError as exc:
+        raise FieldArgumentError(
+            f"field CSV {path} is not UTF-8 text: {exc}") from None
     dtype = [(f"i{k}", np.int64) for k in range(mesh.dim)] + [("value", np.float64)]
     rows = np.empty(0, dtype)
     if has_rows:

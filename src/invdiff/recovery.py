@@ -186,30 +186,25 @@ def recover_1d(u: ScalarField, f: RightHandSide, w_excl: float = None,
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if len(flips) == 0:
         raise MalformedInputError("discrete derivative has no sign change")
+    crossings = x[flips] + h * du[flips] / (du[flips] - du[flips + 1])
     if len(flips) > 1:
-        crossings = [float(x[i] + h * du[i] / (du[i] - du[i + 1])) for i in flips]
-        raise AmbiguousPivotError(crossings)
-    i = int(flips[0])
-    gamma = float(x[i] + h * du[i] / (du[i] - du[i + 1]))
+        raise AmbiguousPivotError(crossings.tolist())
+    gamma = float(crossings[0])
 
     F = _antiderivative_at_centers(f)
     F_gamma = float(np.interp(gamma, x, F))
     with np.errstate(divide="ignore", invalid="ignore"):
         a = (F_gamma - F) / du
-    inside = np.abs(x - gamma) < w_excl
-    outside = np.nonzero(~inside)[0]
-    if len(outside) == 0:
+    # the window is one run of cells; fill it from the cells next to it
+    inside = np.flatnonzero(np.abs(x - gamma) < w_excl)
+    if len(inside) == mesh.n:
         raise FieldArgumentError("exclusion window swallows the whole domain")
-    left = outside[outside < np.nonzero(inside)[0][0]] if inside.any() else outside
-    right = outside[outside > np.nonzero(inside)[0][-1]] if inside.any() else outside
-    if inside.any():
-        if len(left) and len(right):
-            x0, x1 = x[left[-1]], x[right[0]]
-            y0, y1 = a[left[-1]], a[right[0]]
-            a[inside] = y0 + (x[inside] - x0) * (y1 - y0) / (x1 - x0)
+    if len(inside):
+        lo, hi = inside[0] - 1, inside[-1] + 1
+        if lo >= 0 and hi < mesh.n:
+            a[inside] = a[lo] + (x[inside] - x[lo]) * (a[hi] - a[lo]) / (x[hi] - x[lo])
         else:
-            edge = a[left[-1]] if len(left) else a[right[0]]
-            a[inside] = edge
+            a[inside] = a[lo] if lo >= 0 else a[hi]
     n_clamped = int(np.count_nonzero((a < lam) | (a > Lam)))
     a = np.clip(a, lam, Lam)
     return Recovery1D(mesh, gamma, a, w_excl, n_clamped)

@@ -257,6 +257,21 @@ class TestScan:
         assert (out1 / "samples.csv").read_bytes() != \
             (out2 / "samples.csv").read_bytes()
 
+    def test_negative_seeds_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "scan.json", {
+            "mesh": {"dim": 1, "n": 256},
+            "experiment": {"family": "smooth-fourier", "seeds": [-1]},
+        })
+        out = tmp_path / "out"
+        assert run("scan", cfg, out) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("invdiff: config error:")
+        cfg = write_config(tmp_path, "scan.json", self.SCAN)
+        assert main(["scan", "--config", cfg, "--out", str(out),
+                     "--seed", "-5"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err
+        assert not out.exists()
+
     # scan pairs run on --threads workers; every byte must stay the same
     @pytest.mark.parametrize("experiment", [
         {"family": "smooth-fourier", "seeds": [2, 3], "n_pairs": 6},
@@ -614,3 +629,28 @@ def test_oversized_mesh_is_config_error(tmp_path, capsys, payload, mesh):
     err = capsys.readouterr().err
     assert err.startswith("invdiff: config error:") and "exceeds" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("where", ["config", "u_file header", "coefficient row"])
+def test_non_utf8_input_is_config_error(tmp_path, capsys, where):
+    mesh = Mesh(1, 64)
+    a_csv, u_csv = tmp_path / "a.csv", tmp_path / "u.csv"
+    write_field_csv(a_csv, mesh, np.ones(mesh.cell_shape), "cells")
+    write_field_csv(u_csv, mesh, np.ones(mesh.node_shape), "nodes")
+    if where == "u_file header":
+        command, payload = "recover", {
+            "mesh": {"dim": 1, "n": 64}, "mode": "1d", "u_file": str(u_csv),
+            "rhs": {"constant": 1.0}, "lambda": 0.5, "Lambda": 2.0}
+    else:
+        command, payload = "solve", SOLVE_1D | {"coefficient": {
+            "kind": "file", "path": str(a_csv), "lambda": 0.5, "Lambda": 2.0}}
+    cfg = Path(write_config(tmp_path, "c.json", payload))
+    bad, old, new = {"config": (cfg, b"{", b'{"\xff": 0, '),
+                     "u_file header": (u_csv, b"i", b"\xffi"),
+                     "coefficient row": (a_csv, b"\n0,", b"\n0\xff,")}[where]
+    bad.write_bytes(bad.read_bytes().replace(old, new, 1))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invdiff: config error:")
+    assert str(bad) in err and "not UTF-8" in err

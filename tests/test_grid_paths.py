@@ -1,18 +1,25 @@
 """Grid operations have one path for dims 1 and 2. The reference_* functions
 keep the earlier per-dimension bodies, and every test asserts that the single
-path gives the same arrays (shape, dtype and bits) and the same floats."""
+path gives the same arrays (shape, dtype and bits) and the same floats; the
+Gagliardo sum and the cube series, whose summation order changed, agree to
+1e-13 relative."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from invdiff.mesh import Mesh, Partition
-from invdiff.field import (CoefficientField, ScalarField, corner_average,
-                           gradient, norm_h10, coefficient_h1_seminorm)
-from invdiff.forward import RightHandSide, load_functional
+from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
+                           corner_average, gradient, norm_h10,
+                           coefficient_h1_seminorm, seminorm_hs)
+from invdiff.forward import (RightHandSide, load_functional, energy_form,
+                             face_coefficients, series_cube, solve_1d,
+                             _antiderivative_at_centers)
 from invdiff.positivity import compute_weight
-from invdiff.recovery import subcube_bump
+from invdiff.recovery import (subcube_bump, recover_1d, MalformedInputError,
+                              AmbiguousPivotError)
 from invdiff.mollify import bump_profile
 
 DIMS = (1, 2)
@@ -228,3 +235,185 @@ def test_subcube_bump(dim, n, p):
         ref_cells, ref_nodes = reference_subcube_bump(part, q)
         assert_same(cells, ref_cells)
         assert_same(nodes, ref_nodes)
+
+
+def reference_energy_form(a, u, v):
+    mesh = a.mesh
+    U, V = u.padded(), v.padded()
+    if mesh.dim == 1:
+        du, dv = np.diff(U), np.diff(V)
+        return float(np.sum(a.values * du * dv) / mesh.h)
+    ax, ay = face_coefficients(a)
+    dux, dvx = np.diff(U, axis=0), np.diff(V, axis=0)
+    duy, dvy = np.diff(U, axis=1), np.diff(V, axis=1)
+    total = np.sum(ax * dux[:, 1:-1] * dvx[:, 1:-1])
+    total += np.sum(ay * duy[1:-1, :] * dvy[1:-1, :])
+    return float(total)
+
+
+def reference_seminorm_hs(a, s):
+    mesh = a.mesh
+    h = mesh.h
+    exponent = mesh.dim + 2 * s
+    if mesh.dim == 1:
+        x = mesh.cell_centers_1d()
+        dx = np.abs(x[:, None] - x[None, :])
+        da = a.values[:, None] - a.values[None, :]
+        np.fill_diagonal(dx, 1.0)
+        total = np.sum(da * da / dx ** exponent)
+        return float(np.sqrt(total * h ** 2))
+    x = mesh.cell_centers_1d()
+    xs = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    vals = a.values.reshape(-1)
+    total = 0.0
+    chunk = 1024
+    for start in range(0, len(vals), chunk):
+        stop = min(start + chunk, len(vals))
+        diff = xs[start:stop, None, :] - xs[None, :, :]
+        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        da = vals[start:stop, None] - vals[None, :]
+        mask = r > 0
+        total += np.sum(da[mask] ** 2 / r[mask] ** exponent)
+    return float(np.sqrt(total * h ** 4))
+
+
+def reference_series_cube(pt, n_max, d):
+    odd = np.arange(1, n_max + 1, 2, dtype=float)
+    if d == 1:
+        coef = 4.0 / (np.pi ** 3 * odd ** 3)
+        return float(np.sum(coef * np.sin(np.pi * odd * pt[0])))
+    m2 = odd[:, None] ** 2 + odd[None, :] ** 2
+    coef = 16.0 / (np.pi ** 4 * m2 * odd[:, None] * odd[None, :])
+    sx = np.sin(np.pi * odd * pt[0])
+    sy = np.sin(np.pi * odd * pt[1])
+    return float(sx @ coef @ sy)
+
+
+def reference_recover_1d(u, f, w_excl, lam, Lam):
+    """The body of recover_1d after its argument checks, returning
+    (values, gamma_hat, n_clamped)."""
+    mesh = u.mesh
+    h = mesh.h
+    x = mesh.cell_centers_1d()
+    du = np.diff(u.padded()) / h
+    sign = np.sign(du)
+    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    if len(flips) == 0:
+        raise MalformedInputError("discrete derivative has no sign change")
+    if len(flips) > 1:
+        crossings = [float(x[i] + h * du[i] / (du[i] - du[i + 1])) for i in flips]
+        raise AmbiguousPivotError(crossings)
+    i = int(flips[0])
+    gamma = float(x[i] + h * du[i] / (du[i] - du[i + 1]))
+    F = _antiderivative_at_centers(f)
+    F_gamma = float(np.interp(gamma, x, F))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (F_gamma - F) / du
+    inside = np.abs(x - gamma) < w_excl
+    outside = np.nonzero(~inside)[0]
+    if len(outside) == 0:
+        raise FieldArgumentError("exclusion window swallows the whole domain")
+    left = outside[outside < np.nonzero(inside)[0][0]] if inside.any() else outside
+    right = outside[outside > np.nonzero(inside)[0][-1]] if inside.any() else outside
+    if inside.any():
+        if len(left) and len(right):
+            x0, x1 = x[left[-1]], x[right[0]]
+            y0, y1 = a[left[-1]], a[right[0]]
+            a[inside] = y0 + (x[inside] - x0) * (y1 - y0) / (x1 - x0)
+        else:
+            edge = a[left[-1]] if len(left) else a[right[0]]
+            a[inside] = edge
+    n_clamped = int(np.count_nonzero((a < lam) | (a > Lam)))
+    a = np.clip(a, lam, Lam)
+    return a, gamma, n_clamped
+
+
+@pytest.mark.parametrize("dim, n", MESHES)
+def test_energy_form(dim, n):
+    a, _, u = random_fields(dim, n)
+    v = ScalarField(u.mesh, np.random.default_rng([dim, n, 1]).standard_normal(
+        u.mesh.node_shape))
+    assert energy_form(a, u, v) == reference_energy_form(a, u, v)
+    assert energy_form(a, u, u) == reference_energy_form(a, u, u)
+
+
+GAGLIARDO_MESHES = [(1, n) for n in NS + (257,)] + [(2, n) for n in NS[:4] + (16,)]
+
+
+@pytest.mark.parametrize("dim, n", GAGLIARDO_MESHES)
+@pytest.mark.parametrize("s", (0.05, 0.5, 0.95))
+def test_seminorm_hs(dim, n, s):
+    a, _, _ = random_fields(dim, n)
+    assert seminorm_hs(a, s) == pytest.approx(reference_seminorm_hs(a, s),
+                                              rel=1e-13)
+    flat = CoefficientField.constant(a.mesh, 1.3, 0.5, 2.0)
+    assert seminorm_hs(flat, s) == reference_seminorm_hs(flat, s) == 0.0
+
+
+def test_seminorm_hs_memory_is_linear_in_cells():
+    # the dense 1D sum held three N x N arrays: ~400 MiB at N = 4096
+    a, _, _ = random_fields(1, 4096)
+    tracemalloc.start()
+    try:
+        seminorm_hs(a, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("n_max", (1, 3, 99))
+def test_series_cube(d, n_max):
+    rng = np.random.default_rng([d, n_max])
+    points = [rng.uniform(0, 1, d) for _ in range(5)]
+    points += [np.full(d, 0.5), np.zeros(d), np.ones(d)]
+    for pt in points:
+        assert series_cube(pt, n_max, d) == pytest.approx(
+            reference_series_cube(pt, n_max, d), rel=1e-13, abs=0.0)
+
+
+def recover_1d_outcome(recover, u, f, w_excl, lam, Lam):
+    """(values bytes, gamma_hat, n_clamped) of a recovery, or (error type,
+    message, crossings) of the error it raises."""
+    try:
+        values, gamma, n_clamped = recover(u, f, w_excl, lam, Lam)
+    except (MalformedInputError, AmbiguousPivotError, FieldArgumentError) as exc:
+        return type(exc), str(exc), getattr(exc, "crossings", None)
+    return values.tobytes(), gamma, n_clamped
+
+
+def new_recover_1d(u, f, w_excl, lam, Lam):
+    rec = recover_1d(u, f, w_excl, lam=lam, Lam=Lam)
+    return rec.values, rec.gamma_hat, rec.n_clamped
+
+
+def pivot_cases():
+    """(u, f) pairs: solutions with one pivot anywhere in (0, 1), a pivot
+    next to either end, several pivots and none."""
+    for n in (16, 17, 64, 1000, 4096):
+        mesh = Mesh(1, n)
+        rng = np.random.default_rng([n])
+        a = CoefficientField(mesh, rng.uniform(0.5, 2.0, mesh.cell_shape), 0.5, 2.0)
+        for f in (RightHandSide.constant(mesh, 1.0),
+                  RightHandSide(mesh, rng.uniform(0.0, 3.0, mesh.cell_shape)),
+                  RightHandSide.point_mass(mesh, 0.07, 1.0),
+                  RightHandSide.point_mass(mesh, 0.93, 1.0)):
+            yield solve_1d(a, f)[0], f
+        x = mesh.node_coords_1d()
+        f = RightHandSide.constant(mesh, 1.0)
+        yield ScalarField(mesh, np.sin(3 * np.pi * x)), f
+        yield ScalarField(mesh, np.zeros(mesh.node_shape)), f
+
+
+@pytest.mark.parametrize("case", list(enumerate(pivot_cases())),
+                         ids=lambda case: str(case[0]))
+def test_recover_1d(case):
+    _, (u, f) = case
+    h = u.mesh.h
+    # no cell, a few cells, windows cut off at one end, the whole domain
+    for w_excl in (0.1 * h, 0.5 * h, 4 * h, 0.05, 0.2, 0.6, 2.0):
+        for lam, Lam in ((0.5, 2.0), (0.9, 1.1)):
+            new = recover_1d_outcome(new_recover_1d, u, f, w_excl, lam, Lam)
+            ref = recover_1d_outcome(reference_recover_1d, u, f, w_excl, lam, Lam)
+            assert new == ref
