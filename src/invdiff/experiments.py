@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -82,15 +83,20 @@ def sine_series(xi: np.ndarray, basis: np.ndarray) -> np.ndarray:
 def _fourier_sampler(x: np.ndarray, dim: int, k_max: int):
     """rng -> random sine series with k^-2 decay on the dim-fold product of
     the points x, normalized so sup <= 1 by the coefficient bound
-    (clamp-free class membership). The sine basis is built once here."""
+    (clamp-free class membership). The sine basis is built once here and,
+    like every array draw reads, is read-only."""
     k = np.arange(1, k_max + 1)
     if dim == 1:
         basis = sine_basis(x, k_max)
+        shared = (k, basis)
     else:
         # np.outer rounds pi k x differently from sine_basis; kept so that
         # the 2D fields stay bit for bit what they were
         s = np.sin(np.pi * np.outer(k, x))
         decay = np.outer(k ** -2.0, k ** -2.0)
+        shared = (k, s, decay)
+    for arr in shared:
+        arr.setflags(write=False)
 
     def draw(rng):
         if dim == 1:
@@ -104,6 +110,14 @@ def _fourier_sampler(x: np.ndarray, dim: int, k_max: int):
         return series / bound if bound > 0 else series
 
     return draw
+
+
+@functools.lru_cache(maxsize=1)
+def _mesh_sampler(sampler, mesh: Mesh, k_max: int):
+    """sampler at the cell centers of mesh, cached for the last mesh and
+    k_max, so that the families of a scan share one basis. The key holds
+    the sampler too, so that a replaced _fourier_sampler is used."""
+    return sampler(mesh.cell_centers_1d(), mesh.dim, k_max)
 
 
 def coefficient_family(tag: str, seed: int, mesh: Mesh, n_pairs: int = 12,
@@ -151,7 +165,7 @@ def coefficient_family(tag: str, seed: int, mesh: Mesh, n_pairs: int = 12,
     if base_amp + pert_amp_max * (Lam - lam) >= half:
         raise FieldArgumentError("perturbation amplitudes would leave the class")
     if tag == "smooth-fourier":
-        fourier_field = _fourier_sampler(mesh.cell_centers_1d(), mesh.dim, k_max)
+        fourier_field = _mesh_sampler(_fourier_sampler, mesh, k_max)
 
     for j, eps in enumerate(eps_values):
         rng = np.random.default_rng([seed, j])

@@ -32,7 +32,11 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class RightHandSide:
-    """Right side f: a cellwise smooth part plus optional 1D point masses."""
+    """Right side f: a cellwise smooth part plus optional 1D point masses.
+
+    values is not written after construction: the 1D antiderivative is
+    cached on first use and would go stale.
+    """
 
     mesh: Mesh
     values: np.ndarray
@@ -72,6 +76,13 @@ class RightHandSide:
     def point_mass(mesh: Mesh, location: float, weight: float) -> "RightHandSide":
         return RightHandSide(mesh, np.zeros(mesh.cell_shape),
                              point_masses=((location, weight),))
+
+    @functools.cached_property
+    def antiderivative(self) -> np.ndarray:
+        """F at the 1D cell centers, computed once per right side; read-only."""
+        F = _antiderivative_at_centers(self)
+        F.setflags(write=False)
+        return F
 
     @property
     def sup_norm(self) -> float:
@@ -121,18 +132,21 @@ def solve_1d(a: CoefficientField, f: RightHandSide):
         raise FieldArgumentError("solve_1d requires a dim-1 mesh")
     if f.mesh != mesh:
         raise FieldArgumentError("coefficient and rhs meshes differ")
-    h = mesh.h
+    u_full = np.zeros(mesh.n + 1)
     # 1/a overflows for an in-bounds a near the float minimum; checked below
     with np.errstate(over="ignore", invalid="ignore"):
         A = 1.0 / a.values
-        F = _antiderivative_at_centers(f)
+        F = f.antiderivative
         c = float(np.sum(A * F) / np.sum(A))
-        u_full = np.concatenate(([0.0], np.cumsum(h * A * (c - F))))
+        # h * A * (c - F), operation for operation, with c - F in A's buffer
+        g = mesh.h * A
+        g *= np.subtract(c, F, out=A)
+        np.cumsum(g, out=u_full[1:])
     if not np.all(np.isfinite(u_full)):
         raise SolverError("1D solve overflows to non-finite values", iterations=0)
     scale = float(np.max(np.abs(u_full)))
     closure = abs(float(u_full[-1])) / scale if scale > 0 else 0.0
-    u = ScalarField(mesh, u_full[1:-1].copy())
+    u = ScalarField(mesh, u_full[1:-1])
     report = SolveReport(iterations=0, final_relative_residual=closure,
                          solver="exact1d")
     return u, c, report

@@ -10,7 +10,7 @@ import numpy as np
 
 from .mesh import Mesh, Partition
 from .field import ScalarField, FieldArgumentError, gradient, write_csv
-from .forward import RightHandSide, _antiderivative_at_centers
+from .forward import RightHandSide
 from .mollify import bump_profile
 
 __all__ = [
@@ -191,7 +191,7 @@ def recover_1d(u: ScalarField, f: RightHandSide, w_excl: float = None,
         raise AmbiguousPivotError(crossings.tolist())
     gamma = float(crossings[0])
 
-    F = _antiderivative_at_centers(f)
+    F = f.antiderivative
     F_gamma = float(np.interp(gamma, x, F))
     with np.errstate(divide="ignore", invalid="ignore"):
         a = (F_gamma - F) / du

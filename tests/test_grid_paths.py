@@ -10,13 +10,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from invdiff import experiments, forward
 from invdiff.mesh import Mesh, Partition
 from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
                            corner_average, gradient, norm_h10,
                            coefficient_h1_seminorm, seminorm_hs)
-from invdiff.forward import (RightHandSide, load_functional, energy_form,
-                             face_coefficients, series_cube, solve_1d,
-                             _antiderivative_at_centers)
+from invdiff.forward import (RightHandSide, SolveReport, load_functional,
+                             energy_form, face_coefficients, series_cube,
+                             solve_1d, _antiderivative_at_centers)
+from invdiff.experiments import (coefficient_family, stability_scan,
+                                 sine_basis, sine_series)
 from invdiff.positivity import compute_weight
 from invdiff.recovery import (subcube_bump, recover_1d, MalformedInputError,
                               AmbiguousPivotError)
@@ -417,3 +420,151 @@ def test_recover_1d(case):
             new = recover_1d_outcome(new_recover_1d, u, f, w_excl, lam, Lam)
             ref = recover_1d_outcome(reference_recover_1d, u, f, w_excl, lam, Lam)
             assert new == ref
+
+
+# ---------------------------------------------------------------------------
+# Scan invariants computed once: the antiderivative per right side, the sine
+# basis per mesh, and the 1D solve's cumulative sum in place.
+
+def reference_solve_1d(a, f):
+    """solve_1d with F rebuilt per call and u assembled by concatenate."""
+    mesh = a.mesh
+    h = mesh.h
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = 1.0 / a.values
+        F = _antiderivative_at_centers(f)
+        c = float(np.sum(A * F) / np.sum(A))
+        u_full = np.concatenate(([0.0], np.cumsum(h * A * (c - F))))
+    scale = float(np.max(np.abs(u_full)))
+    closure = abs(float(u_full[-1])) / scale if scale > 0 else 0.0
+    report = SolveReport(iterations=0, final_relative_residual=closure,
+                         solver="exact1d")
+    return ScalarField(mesh, u_full[1:-1].copy()), c, report
+
+
+def reference_fourier_sampler(x, dim, k_max):
+    """The sampler with a writable basis built on every call."""
+    k = np.arange(1, k_max + 1)
+    if dim == 1:
+        basis = sine_basis(x, k_max)
+    else:
+        s = np.sin(np.pi * np.outer(k, x))
+        decay = np.outer(k ** -2.0, k ** -2.0)
+
+    def draw(rng):
+        if dim == 1:
+            xi = rng.standard_normal(k_max)
+            series = sine_series(xi, basis)
+            bound = np.sum(np.abs(xi) * k ** -2.0)
+        else:
+            xi = rng.standard_normal((k_max, k_max))
+            series = s.T @ (xi * decay) @ s
+            bound = np.sum(np.abs(xi) * decay)
+        return series / bound if bound > 0 else series
+
+    return draw
+
+
+def right_sides_1d(mesh, rng):
+    """f = 1, a sign-changing f, and f with a mass left of the first
+    center, one inside and one within h/2 of 1."""
+    h = mesh.h
+    yield RightHandSide.constant(mesh, 1.0)
+    yield RightHandSide(mesh, rng.standard_normal(mesh.cell_shape))
+    masses = ((0.25 * h, 0.7), (float(rng.uniform(0.1, 0.9)), -1.3),
+              (1.0 - 0.25 * h, 2.0))
+    yield RightHandSide(mesh, rng.uniform(0.0, 2.0, mesh.cell_shape),
+                        point_masses=masses)
+    yield RightHandSide(mesh, np.zeros(mesh.cell_shape), point_masses=masses[1:])
+
+
+@pytest.mark.parametrize("n", (2, 3, 64, 1000, 65536))
+def test_solve_1d_matches_reference(n):
+    mesh = Mesh(1, n)
+    rng = np.random.default_rng([n, 1])
+    a = CoefficientField(mesh, rng.uniform(0.5, 2.0, mesh.cell_shape), 0.5, 2.0)
+    for f in right_sides_1d(mesh, rng):
+        u_ref, gamma_ref, report_ref = reference_solve_1d(a, f)
+        # the second solve reads the antiderivative the first one cached
+        for _ in range(2):
+            u, gamma, report = solve_1d(a, f)
+            assert_same(u.values, u_ref.values)
+            assert gamma == gamma_ref and report == report_ref
+
+
+def test_scan_builds_one_antiderivative(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return _antiderivative_at_centers(f)
+
+    monkeypatch.setattr(forward, "_antiderivative_at_centers", counted)
+    mesh = Mesh(1, 256)
+    f = RightHandSide.constant(mesh, 1.0)
+    samples, _ = stability_scan(
+        coefficient_family("smooth-fourier", 0, mesh, n_pairs=12),
+        lambda a: solve_1d(a, f)[0])
+    assert len(samples) == 12 and len(calls) == 1
+
+
+def family_values(seed, mesh, k_max):
+    return [(a.values, b.values) for a, b, _ in coefficient_family(
+        "smooth-fourier", seed, mesh, n_pairs=3, k_max=k_max)]
+
+
+def test_family_basis_follows_the_mesh(monkeypatch):
+    runs = [(Mesh(1, 64), 6), (Mesh(1, 100), 6), (Mesh(1, 64), 6),
+            (Mesh(2, 12), 6), (Mesh(1, 64), 3), (Mesh(2, 12), 6)]
+    with monkeypatch.context() as m:
+        # uncached, so that the expected fields come from fresh bases
+        m.setattr(experiments, "_mesh_sampler",
+                  lambda sampler, mesh, k_max: reference_fourier_sampler(
+                      mesh.cell_centers_1d(), mesh.dim, k_max))
+        expect = [family_values(seed, mesh, k_max)
+                  for seed, (mesh, k_max) in enumerate(runs)]
+    experiments._mesh_sampler.cache_clear()
+    # alternating meshes and k_max evict the one cached sampler every time
+    for seed, ((mesh, k_max), fields) in enumerate(zip(runs, expect)):
+        for (a, b), (a_ref, b_ref) in zip(family_values(seed, mesh, k_max),
+                                          fields, strict=True):
+            assert_same(a, a_ref)
+            assert_same(b, b_ref)
+
+
+def test_replaced_sampler_is_not_bypassed_by_the_cache(monkeypatch):
+    mesh = Mesh(1, 64)
+    family_values(0, mesh, 6)  # caches the sampler for this mesh
+    monkeypatch.setattr(experiments, "_fourier_sampler",
+                        lambda x, dim, k_max: lambda rng: np.zeros(x.shape))
+    # a zero series leaves a at the class midpoint and b == a
+    for a, b in family_values(0, mesh, 6):
+        assert np.all(a == 1.25) and np.all(b == 1.25)
+
+
+def closure_arrays(fn):
+    """The arrays fn reads from its enclosing scope."""
+    arrays = []
+    for cell in fn.__closure__:
+        try:
+            value = cell.cell_contents
+        except ValueError:  # the 2D names of a 1D sampler, and vice versa
+            continue
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+    return arrays
+
+
+def test_cached_arrays_are_read_only():
+    f = RightHandSide.constant(Mesh(1, 64), 1.0)
+    assert f.antiderivative is f.antiderivative
+    cached = [f.antiderivative, forward._inverse_eigenvalues(8)]
+    for mesh in (Mesh(1, 64), Mesh(2, 12)):
+        draw = experiments._mesh_sampler(experiments._fourier_sampler, mesh, 6)
+        arrays = closure_arrays(draw)
+        assert len(arrays) == (2 if mesh.dim == 1 else 3)
+        cached += arrays
+    for arr in cached:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0

@@ -1,7 +1,11 @@
-"""Property tests for two claims of the README on small random meshes in
+"""Property tests for three claims of the README on small random meshes in
 dims 1 and 2: the discrete weak identity energy_form(a, u, v) ==
-load_functional(f, v) for the computed u, and the maximum principle for
-f >= 0, also with zero cells and with 1D point masses."""
+load_functional(f, v) for the computed u, the maximum principle for
+f >= 0, also with zero cells and with 1D point masses, and scans that do
+not depend on the number of worker threads."""
+
+import itertools
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from invdiff.mesh import Mesh
 from invdiff.field import CoefficientField, ScalarField
 from invdiff.forward import (RightHandSide, solve_1d, solve_fd_2d, energy_form,
                              load_functional, maximum_principle_check)
+from invdiff.experiments import FAMILY_TAGS, coefficient_family, stability_scan
 
 meshes = st.one_of(st.tuples(st.just(1), st.integers(2, 64)),
                    st.tuples(st.just(2), st.integers(2, 12)))
@@ -85,3 +90,37 @@ def test_mass_left_of_first_center_adds_only_a_constant():
     both = RightHandSide(mesh, one, point_masses=((0.25 * mesh.h, 0.5),))
     assert np.array_equal(solve_1d(a, both)[0].values,
                           solve_1d(a, RightHandSide(mesh, one))[0].values)
+
+
+@st.composite
+def scans(draw):
+    """A family valid for its dim on a small mesh, 1-3 seeds, <= 4 pairs."""
+    dim = draw(st.sampled_from((1, 2)))
+    family = draw(st.sampled_from(FAMILY_TAGS if dim == 1 else FAMILY_TAGS[:2]))
+    n = draw(st.integers(2, 64 if dim == 1 else 16))
+    if family == "pwc-random":  # the default partition_n is 2
+        n += n % 2
+    seeds = draw(st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=3))
+    return Mesh(dim, n), family, seeds, draw(st.integers(1, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(scan=scans())
+def test_scan_does_not_depend_on_workers(scan):
+    mesh, family, seeds, n_pairs = scan
+    f = RightHandSide.constant(mesh, 1.0)
+    calls = itertools.count()
+
+    def delayed(a):
+        # the first solves are the slowest, so later pairs finish first
+        time.sleep(max(0, 3 - next(calls)) * 1e-3)
+        return solve(a, f)
+
+    results = []
+    for workers, run in ((1, lambda a: solve(a, f)), (3, delayed)):
+        pairs = (pair for seed in seeds
+                 for pair in coefficient_family(family, seed, mesh, n_pairs=n_pairs))
+        results.append(stability_scan(pairs, run, workers=workers))
+    (samples, fit), (samples_3, fit_3) = results
+    # repr writes every float in its shortest exact form, nan and -0.0 too
+    assert repr(samples_3) == repr(samples) and repr(fit_3) == repr(fit)
