@@ -19,14 +19,16 @@ from .mesh import Mesh, Partition, MeshArgumentError
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
                     FieldInvariantError, write_csv, write_field_csv,
                     read_field_csv)
-from .forward import RightHandSide, SolverError, solve_1d, solve_fd_2d
+from .forward import (RightHandSide, SolverError, solve_1d, solve_fd_2d,
+                      DEFAULT_TOL)
 from .positivity import (compute_weight, fit_pc_beta, DegenerateFitError,
                          write_envelope_csv, _loglog_fit)
-from .mollify import MollifierSpec, mollify, approximation_functional, ResolutionError
+from .mollify import MollifierSpec, mollify, approximation_functional, KERNELS
 from .recovery import (recover_pwc, recover_1d, RecoveryFailureError,
                        MalformedInputError, AmbiguousPivotError)
 from .experiments import (coefficient_family, stability_scan, write_samples_csv,
-                          sine_basis, sine_series, PIVOT_ALPHA0, FAMILY_TAGS)
+                          sine_basis, sine_series, step_coefficient,
+                          PIVOT_ALPHA0, FAMILY_TAGS, EPS_RANGE)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,8 +92,6 @@ _SOLVER_SCHEMA = {
     },
     "additionalProperties": False,
 }
-# 2D solver settings that a config's "solver" block overrides
-_SOLVER_DEFAULTS = {"tol": 1e-10, "max_iter": 50000}
 
 SCHEMAS = {
     "solve": {
@@ -168,7 +168,7 @@ SCHEMAS = {
         "properties": {
             "mesh": _MESH_SCHEMA,
             "field": {"enum": ["step", "smooth"]},
-            "kernel": {"enum": ["box", "bump"]},
+            "kernel": {"enum": list(KERNELS)},
             "t_min_cells": {"type": "number", "minimum": 2},
             "t_max": {"type": "number", "exclusiveMinimum": 0},
             "n_t": {"type": "integer", "minimum": 3},
@@ -260,14 +260,21 @@ def _load_config(path, command: str) -> dict:
     return config
 
 
-def _write_json(path, payload: dict):
+def _write_json(path, payload: dict, config: dict):
+    """Write payload stamped with the config's hash and the program version."""
+    stamp = {"config_hash": _config_hash(config), "version": __version__}
     with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
+        json.dump(payload | stamp, f, sort_keys=True, indent=2)
         f.write("\n")
 
 
 def _build_mesh(config) -> Mesh:
     return Mesh(config["mesh"]["dim"], config["mesh"]["n"])
+
+
+# config keys -> the coefficient_family (and step_coefficient) parameters
+_FAMILY_ARGS = {"lambda": "lam", "Lambda": "Lam", "n_pairs": "n_pairs",
+                "partition_n": "partition_n"}
 
 
 def _build_coefficient(config, mesh: Mesh) -> CoefficientField:
@@ -276,13 +283,11 @@ def _build_coefficient(config, mesh: Mesh) -> CoefficientField:
     lam = spec.get("lambda")
     Lam = spec.get("Lambda")
     if kind == "step":
-        lam = 0.4 if lam is None else lam
-        Lam = 1.1 if Lam is None else Lam
-        alpha = spec.get("alpha", PIVOT_ALPHA0)
-        x = mesh.cell_centers_1d()
         if mesh.dim != 1:
             raise ConfigError("step coefficient is dim-1 only")
-        return CoefficientField(mesh, np.where(x < alpha, 1.0, 0.5), lam, Lam)
+        bounds = {_FAMILY_ARGS[k]: spec[k] for k in ("lambda", "Lambda")
+                  if k in spec}
+        return step_coefficient(mesh, spec.get("alpha", PIVOT_ALPHA0), **bounds)
     if lam is None or Lam is None:
         raise ConfigError(f"{kind} coefficient needs 'lambda' and 'Lambda'")
     if kind == "constant":
@@ -333,16 +338,12 @@ def _build_rhs(config, mesh: Mesh) -> RightHandSide:
     return RightHandSide(mesh, values, point_masses=masses)
 
 
-def _stamp(config) -> dict:
-    return {"config_hash": _config_hash(config), "version": __version__}
-
-
 def _solve(a: CoefficientField, f: RightHandSide, solver: dict):
     """Forward solve for the mesh dimension of `a`; returns (u, report)."""
     if a.mesh.dim == 1:
         u, _, report = solve_1d(a, f)
         return u, report
-    return solve_fd_2d(a, f, **(_SOLVER_DEFAULTS | solver))
+    return solve_fd_2d(a, f, **solver)
 
 
 # --------------------------------------------------------------------------
@@ -354,7 +355,7 @@ def cmd_solve(config, out: Path) -> int:
     f = _build_rhs(config, mesh)
     u, report = _solve(a, f, config.get("solver", {}))
     write_field_csv(out / "u.csv", mesh, u.values, "nodes")
-    _write_json(out / "report.json", report.to_json_dict() | _stamp(config))
+    _write_json(out / "report.json", report.to_json_dict(), config)
     return EXIT_OK
 
 
@@ -380,7 +381,7 @@ def cmd_recover(config, out: Path) -> int:
         write_field_csv(out / "a_rec.csv", mesh, rec.values, "cells")
         payload = ({"mode": "1d", "n_clamped": rec.n_clamped}
                    | rec.to_json_dict())
-    _write_json(out / "recovery.json", payload | _stamp(config))
+    _write_json(out / "recovery.json", payload, config)
     return EXIT_OK
 
 
@@ -390,7 +391,7 @@ def cmd_scan(config, out: Path, seed_override=None, threads: int = 1) -> int:
     seeds = [seed_override] if seed_override is not None else exp["seeds"]
     if not seeds:
         raise ConfigError("experiment needs a non-empty seed list")
-    solver = _SOLVER_DEFAULTS | config.get("solver", {})
+    solver = config.get("solver", {})
     f = RightHandSide.constant(mesh, 1.0)
     reports = []
 
@@ -399,17 +400,9 @@ def cmd_scan(config, out: Path, seed_override=None, threads: int = 1) -> int:
         reports.append(report)
         return u
 
-    kwargs = {}
-    if "n_pairs" in exp:
-        kwargs["n_pairs"] = exp["n_pairs"]
-    if "partition_n" in exp:
-        kwargs["partition_n"] = exp["partition_n"]
-    if "eps_min" in exp or "eps_max" in exp:
-        kwargs["eps_range"] = (exp.get("eps_min", 1e-3), exp.get("eps_max", 1e-1))
-    if "lambda" in exp:
-        kwargs["lam"] = exp["lambda"]
-    if "Lambda" in exp:
-        kwargs["Lam"] = exp["Lambda"]
+    kwargs = {arg: exp[key] for key, arg in _FAMILY_ARGS.items() if key in exp}
+    kwargs["eps_range"] = (exp.get("eps_min", EPS_RANGE[0]),
+                           exp.get("eps_max", EPS_RANGE[1]))
 
     def all_pairs():
         for seed in seeds:
@@ -417,8 +410,9 @@ def cmd_scan(config, out: Path, seed_override=None, threads: int = 1) -> int:
 
     # stability_scan rejects a floor below 10x the solver tolerance before
     # it draws the first pair
-    samples, fit = stability_scan(all_pairs(), solve, floor=exp.get("floor", 1e-8),
-                                  solver_tol=solver["tol"], workers=threads)
+    floor = {"floor": exp["floor"]} if "floor" in exp else {}
+    samples, fit = stability_scan(all_pairs(), solve, **floor, workers=threads,
+                                  solver_tol=solver.get("tol", DEFAULT_TOL))
     write_samples_csv(out / "samples.csv", samples)
     # aggregates that do not depend on the order the solves finished in
     iterations = [r.iterations for r in reports]
@@ -426,8 +420,8 @@ def cmd_scan(config, out: Path, seed_override=None, threads: int = 1) -> int:
               "iterations_max": max(iterations),
               "iterations_sum": sum(iterations),
               "residual_max": max(r.final_relative_residual for r in reports)}
-    _write_json(out / "fit.json",
-                fit.to_json_dict() | {"solver": effort} | _stamp(config))
+    _write_json(out / "fit.json", fit.to_json_dict() | {"solver": effort},
+                config)
     return EXIT_OK
 
 
@@ -435,11 +429,12 @@ def cmd_pcfit(config, out: Path) -> int:
     mesh = _build_mesh(config)
     a = _build_coefficient(config, mesh)
     f = _build_rhs(config, mesh)
-    u, _ = _solve(a, f, config.get("solver", {}))
+    u, report = _solve(a, f, config.get("solver", {}))
     w = compute_weight(a, u, f)
     fit = fit_pc_beta(w, config["fit"]["n_bins"])
     write_envelope_csv(out / "envelope.csv", fit)
-    _write_json(out / "pcfit.json", fit.to_json_dict() | _stamp(config))
+    _write_json(out / "pcfit.json", fit.to_json_dict() | report.to_json_dict(),
+                config)
     return EXIT_OK
 
 
@@ -453,7 +448,7 @@ def cmd_mollcheck(config, out: Path) -> int:
         a = CoefficientField(mesh, np.where(x < 0.5, lam, Lam), lam, Lam)
     else:
         a = CoefficientField(mesh, 2.0 + np.sin(2 * np.pi * x), 0.5, 3.5)
-    kernel = config.get("kernel", "box")
+    kernel = config.get("kernel", MollifierSpec.kernel)  # its default kernel
     t_lo = config.get("t_min_cells", 4) * mesh.h
     t_hi = config.get("t_max", 0.1)
     if t_hi <= t_lo:
@@ -464,8 +459,8 @@ def cmd_mollcheck(config, out: Path) -> int:
     slope = float(_loglog_fit(np.log(ts), np.log(vals))[0])
     write_csv(out / "moll.csv", "t,functional", [ts, vals])
     _write_json(out / "mollcheck.json",
-                {"slope": slope, "field": config["field"], "kernel": kernel}
-                | _stamp(config))
+                {"slope": slope, "field": config["field"], "kernel": kernel},
+                config)
     return EXIT_OK
 
 

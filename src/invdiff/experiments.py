@@ -19,11 +19,11 @@ from .forward import RightHandSide, solve_1d
 from .positivity import compute_weight, _loglog_fit
 
 __all__ = [
-    "PIVOT_ALPHA0", "PairSample", "ExponentFit", "LowerBoundValues",
-    "sine_basis", "sine_series", "coefficient_family", "stability_scan",
-    "fit_exponent", "envelope_constant", "lower_bound_closed_form",
+    "PIVOT_ALPHA0", "EPS_RANGE", "PairSample", "ExponentFit",
+    "LowerBoundValues", "sine_basis", "sine_series", "step_coefficient",
+    "coefficient_family", "stability_scan", "fit_exponent",
+    "envelope_constant", "lower_bound_closed_form", "write_samples_csv",
     "weighted_estimate_monitor", "nonidentifiability_demo",
-    "write_samples_csv",
 ]
 
 # In-range stationary point of g(t) = (1 - t^2/2)/(2 - t): the root of
@@ -31,6 +31,8 @@ __all__ = [
 PIVOT_ALPHA0 = 2.0 - math.sqrt(2.0)
 
 FAMILY_TAGS = ("smooth-fourier", "pwc-random", "step-1d-lowerbound")
+
+EPS_RANGE = (1e-3, 1e-1)  # smallest and largest perturbation of a family
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,13 @@ def _fourier_sampler(x: np.ndarray, dim: int, k_max: int):
     return draw
 
 
+def step_coefficient(mesh: Mesh, alpha: float, lam: float = 0.4,
+                     Lam: float = 1.1) -> CoefficientField:
+    """The two-level 1D step, 1/a in {1, 2}, with the jump at alpha."""
+    x = mesh.cell_centers_1d()
+    return CoefficientField(mesh, np.where(x < alpha, 1.0, 0.5), lam, Lam)
+
+
 @functools.lru_cache(maxsize=1)
 def _mesh_sampler(sampler, mesh: Mesh, k_max: int):
     """sampler at the cell centers of mesh, cached for the last mesh and
@@ -123,7 +132,7 @@ def _mesh_sampler(sampler, mesh: Mesh, k_max: int):
 def coefficient_family(tag: str, seed: int, mesh: Mesh, n_pairs: int = 12,
                        lam: float = 0.5, Lam: float = 2.0,
                        partition_n: int = 2, k_max: int = 6,
-                       eps_range=(1e-3, 1e-1)):
+                       eps_range=EPS_RANGE):
     """Deterministic stream of coefficient pairs (a, b, metadata).
 
     smooth-fourier: random sine fields with k^-2 decay and log-spaced
@@ -131,9 +140,9 @@ def coefficient_family(tag: str, seed: int, mesh: Mesh, n_pairs: int = 12,
     construction, no clamping.
     pwc-random: piecewise constants on P_partition_n with log-spaced
     perturbation amplitudes.
-    step-1d-lowerbound: the explicit two-level family 1/a in {1, 2} with
+    step-1d-lowerbound: step_coefficient with its default class bounds,
     the jump at the pivot for a and at log-spaced offsets for b, offsets
-    snapped to mesh nodes; class bounds are fixed at (0.4, 1.1).
+    snapped to mesh nodes.
     """
     if tag not in FAMILY_TAGS:
         raise FieldArgumentError(f"unknown family tag {tag!r}")
@@ -144,15 +153,11 @@ def coefficient_family(tag: str, seed: int, mesh: Mesh, n_pairs: int = 12,
     if tag == "step-1d-lowerbound":
         if mesh.dim != 1:
             raise FieldArgumentError("step-1d-lowerbound is a dim-1 family")
-        lam, Lam = 0.4, 1.1
         alpha_eff = _snap(PIVOT_ALPHA0, mesh.n)
-        x = mesh.cell_centers_1d()
-        a_vals = np.where(x < alpha_eff, 1.0, 0.5)
-        a = CoefficientField(mesh, a_vals, lam, Lam)
+        a = step_coefficient(mesh, alpha_eff)
         for j, offset in enumerate(eps_values):
             beta_eff = _snap(PIVOT_ALPHA0 + offset, mesh.n)
-            b_vals = np.where(x < beta_eff, 1.0, 0.5)
-            b = CoefficientField(mesh, b_vals, lam, Lam)
+            b = step_coefficient(mesh, beta_eff)
             meta = {"family": tag, "seed": seed * 10000 + j, "n": mesh.n,
                     "alpha_eff": alpha_eff, "beta_eff": beta_eff}
             yield a, b, meta
@@ -161,11 +166,14 @@ def coefficient_family(tag: str, seed: int, mesh: Mesh, n_pairs: int = 12,
     mid = 0.5 * (lam + Lam)
     half = 0.5 * (Lam - lam)
     base_amp = 0.35 * (Lam - lam)
-    pert_amp_max = float(eps_values[-1])
-    if base_amp + pert_amp_max * (Lam - lam) >= half:
+    margin = float(eps_values[-1]) * (Lam - lam)
+    if base_amp + margin >= half:
         raise FieldArgumentError("perturbation amplitudes would leave the class")
     if tag == "smooth-fourier":
         fourier_field = _mesh_sampler(_fourier_sampler, mesh, k_max)
+    else:
+        part = Partition(mesh, partition_n)
+        qmap = part.subcube_of_cells()
 
     for j, eps in enumerate(eps_values):
         rng = np.random.default_rng([seed, j])
@@ -175,9 +183,6 @@ def coefficient_family(tag: str, seed: int, mesh: Mesh, n_pairs: int = 12,
             a_vals = mid + base_amp * base
             b_vals = a_vals + eps * (Lam - lam) * pert
         else:  # pwc-random
-            part = Partition(mesh, partition_n)
-            qmap = part.subcube_of_cells()
-            margin = pert_amp_max * (Lam - lam)
             base_q = rng.uniform(lam + margin, Lam - margin, part.n_subcubes)
             pert_q = rng.uniform(-1.0, 1.0, part.n_subcubes)
             a_vals = base_q[qmap]

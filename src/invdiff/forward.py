@@ -17,8 +17,10 @@ from .field import (CoefficientField, ScalarField, FieldArgumentError,
 __all__ = [
     "RightHandSide", "SolveReport", "SolverError",
     "solve_1d", "solve_fd_2d", "series_cube", "maximum_principle_check",
-    "face_coefficients", "energy_form", "load_functional",
+    "face_coefficients", "energy_form", "load_functional", "DEFAULT_TOL",
 ]
+
+DEFAULT_TOL = 1e-10  # relative residual at which a 2D solve stops
 
 
 class SolverError(RuntimeError):
@@ -111,17 +113,23 @@ class SolveReport:
 # for u at nodes. For f = 1 this is the explicit pivot solution and the
 # returned gamma is the pivot in (0,1).
 
+def _mass_node(mesh: Mesh, loc: float) -> int:
+    """Node 0..N that a 1D point mass at loc acts on: the one between the
+    two cell centers around loc, a center at loc counting as left of it."""
+    return int(np.searchsorted(mesh.cell_centers_1d(), loc, side="right"))
+
+
 def _antiderivative_at_centers(f: RightHandSide) -> np.ndarray:
     mesh = f.mesh
     h = mesh.h
-    x = mesh.cell_centers_1d()
     cum = np.concatenate(([0.0], np.cumsum(f.values))) * h
     F = cum[:-1] + 0.5 * h * f.values
     for loc, w in f.point_masses:
-        # a mass left of the first center adds a constant to every F, which
-        # c absorbs; adding it anyway leaves rounding noise of either sign
-        if loc >= x[0]:
-            F = F + w * (x > loc)
+        # a mass on node 0 adds a constant to every F, which c absorbs;
+        # adding it anyway leaves rounding noise of either sign
+        node = _mass_node(mesh, loc)
+        if node > 0:
+            F[node:] += w
     return F
 
 
@@ -195,11 +203,12 @@ def energy_form(a: CoefficientField, u: ScalarField, v: ScalarField) -> float:
 
 
 def load_functional(f: RightHandSide, v: ScalarField) -> float:
-    """Discrete right side sum f v h^d with f averaged to the nodes."""
+    """Discrete right side sum f v h^d with f averaged to the nodes; a 1D
+    point mass w adds w v at the node solve_1d puts it on."""
     mesh = f.mesh
     total = float(mesh.h ** mesh.dim * np.sum(corner_average(f.values) * v.values))
     for loc, w in f.point_masses:  # dim 1 only
-        total += w * float(np.interp(loc, mesh.node_coords_1d(), v.values))
+        total += w * float(v.padded()[_mass_node(mesh, loc)])
     return total
 
 
@@ -321,8 +330,8 @@ def _pcg(apply_A, apply_M, b, tol, max_iter, scratch):
         residual=rel, iterations=max_iter)
 
 
-def solve_fd_2d(a: CoefficientField, f: RightHandSide, tol: float = 1e-10,
-                max_iter: int = 50000):
+def solve_fd_2d(a: CoefficientField, f: RightHandSide,
+                tol: float = DEFAULT_TOL, max_iter: int = 50000):
     """Five-point harmonic-flux solve on the unit square; returns (u, report)."""
     mesh = a.mesh
     if mesh.dim != 2:

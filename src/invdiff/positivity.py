@@ -91,8 +91,11 @@ def compute_weight(a: CoefficientField, u: ScalarField,
 
 def _loglog_fit(log_x: np.ndarray, log_y: np.ndarray):
     """Least-squares line log_y ~ slope * log_x + intercept; returns
-    (slope, intercept, r2), with r2 = 1 for a constant log_y."""
-    slope, intercept = np.polyfit(log_x, log_y, 1)
+    (slope, intercept, r2), with r2 = 1 for a constant log_y, and
+    (nan, nan, 0.0) when log_x has too little spread to fix a slope."""
+    (slope, intercept), _, rank, _, _ = np.polyfit(log_x, log_y, 1, full=True)
+    if rank < 2:
+        return float("nan"), float("nan"), 0.0
     pred = slope * log_x + intercept
     ss_res = float(np.sum((log_y - pred) ** 2))
     ss_tot = float(np.sum((log_y - log_y.mean()) ** 2))

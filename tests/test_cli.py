@@ -332,7 +332,37 @@ class TestScan:
                 == (tmp_path / "t4" / "samples.csv").read_bytes())
 
 
+    def test_degenerate_fit_is_nan(self, tmp_path, capfd):
+        # at n = 4 the snapped offsets coincide: the 3 used samples share
+        # one e_h10, so no slope can be fitted
+        cfg = write_config(tmp_path, "scan.json", {
+            "mesh": {"dim": 1, "n": 4},
+            "experiment": {"family": "step-1d-lowerbound", "seeds": [0],
+                           "n_pairs": 12}})
+        assert run("scan", cfg, tmp_path / "out") == EXIT_OK
+        fit = json.loads((tmp_path / "out" / "fit.json").read_text())
+        assert np.isnan(fit["alpha_hat"]) and fit["r2"] == 0.0
+        assert fit["n_used"] == 3 and fit["status"] == "insufficient-range"
+        assert capfd.readouterr().err == ""
+
+
 class TestPcfit:
+    @pytest.mark.parametrize("mesh", [{"dim": 1, "n": 256},
+                                      {"dim": 2, "n": 32}])
+    def test_carries_the_solve_report(self, tmp_path, mesh):
+        payload = {"mesh": mesh,
+                   "coefficient": {"kind": "fourier", "seed": 3,
+                                   "lambda": 0.5, "Lambda": 2.0},
+                   "rhs": {"constant": 1.0}, "solver": {"tol": 1e-9}}
+        cfg = write_config(tmp_path, "s.json", payload)
+        assert run("solve", cfg, tmp_path / "s") == EXIT_OK
+        cfg = write_config(tmp_path, "p.json", payload | {"fit": {"n_bins": 8}})
+        assert run("pcfit", cfg, tmp_path / "p") == EXIT_OK
+        report = json.loads((tmp_path / "s" / "report.json").read_text())
+        fit = json.loads((tmp_path / "p" / "pcfit.json").read_text())
+        keys = ("iterations", "residual", "solver")
+        assert {k: fit[k] for k in keys} == {k: report[k] for k in keys}
+
     def test_1d_torsion_flat(self, tmp_path):
         cfg = write_config(tmp_path, "p.json", {
             "mesh": {"dim": 1, "n": 16384},

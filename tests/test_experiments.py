@@ -8,7 +8,7 @@ import pytest
 
 from invdiff import experiments
 from invdiff.cli import main
-from invdiff.mesh import Mesh
+from invdiff.mesh import Mesh, Partition
 from invdiff.field import CoefficientField, FieldArgumentError
 from invdiff.forward import (RightHandSide, SolverError, solve_1d,
                              solve_fd_2d)
@@ -119,6 +119,19 @@ class TestCoefficientFamily:
     def test_unknown_tag(self):
         with pytest.raises(FieldArgumentError):
             list(coefficient_family("nope", 0, Mesh(1, 64)))
+
+    @pytest.mark.parametrize("tag, n, builds", [("pwc-random", 64, 1),
+                                                ("smooth-fourier", 63, 0)])
+    def test_partition_built_once_per_family(self, monkeypatch, tag, n, builds):
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return Partition(*args)
+
+        monkeypatch.setattr(experiments, "Partition", counted)
+        pairs = list(coefficient_family(tag, 2, Mesh(2, n), n_pairs=12))
+        assert len(pairs) == 12 and len(made) == builds
 
 
 def reference_fourier_field(rng, x_axes, k_max):

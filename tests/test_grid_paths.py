@@ -76,10 +76,13 @@ def reference_load_functional(f, v):
     if mesh.dim == 1:
         fbar = 0.5 * (f.values[:-1] + f.values[1:])
         total = mesh.h * float(np.sum(fbar * v.values))
-        if f.point_masses:
-            x = mesh.node_coords_1d()
-            for loc, w in f.point_masses:
-                total += w * float(np.interp(loc, x, v.values))
+        # a mass acts on node k = the number of cell centers at or left of
+        # it, where solve_1d puts it; nodes 0 and N carry v = 0
+        centers = mesh.cell_centers_1d()
+        for loc, w in f.point_masses:
+            k = int(np.count_nonzero(centers <= loc))
+            if 0 < k < mesh.n:
+                total += w * float(v.values[k - 1])
         return total
     fbar = reference_node_average_of_cells(f.values)
     return float(mesh.h ** 2 * np.sum(fbar * v.values))

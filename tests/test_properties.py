@@ -1,8 +1,8 @@
 """Property tests for three claims of the README on small random meshes in
 dims 1 and 2: the discrete weak identity energy_form(a, u, v) ==
-load_functional(f, v) for the computed u, the maximum principle for
-f >= 0, also with zero cells and with 1D point masses, and scans that do
-not depend on the number of worker threads."""
+load_functional(f, v) for the computed u, also with 1D point masses, the
+maximum principle for f >= 0, also with zero cells and with 1D point
+masses, and scans that do not depend on the number of worker threads."""
 
 import itertools
 import time
@@ -46,6 +46,28 @@ def test_discrete_weak_identity(data, dim_n, seed):
     a = data.draw(coefficients(mesh))
     f = RightHandSide(mesh, data.draw(arrays(float, mesh.cell_shape,
                                              elements=st.floats(-10.0, 10.0))))
+    u = solve(a, f)
+    v = ScalarField(mesh, np.random.default_rng(seed).standard_normal(
+        mesh.node_shape))
+    assert energy_form(a, u, u) == pytest.approx(load_functional(f, u),
+                                                 rel=1e-10, abs=1e-9)
+    assert energy_form(a, u, v) == pytest.approx(load_functional(f, v),
+                                                 rel=1e-10, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1),
+       masses=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True,
+                                           exclude_max=True),
+                                 st.floats(-10.0, 10.0)),
+                       min_size=1, max_size=3))
+def test_discrete_weak_identity_with_point_masses(data, n, seed, masses):
+    # a mass acts on the node solve_1d puts it on, anywhere in (0, 1)
+    mesh = Mesh(1, n)
+    a = data.draw(coefficients(mesh))
+    f = RightHandSide(mesh, data.draw(arrays(float, mesh.cell_shape,
+                                             elements=st.floats(-10.0, 10.0))),
+                      point_masses=masses)
     u = solve(a, f)
     v = ScalarField(mesh, np.random.default_rng(seed).standard_normal(
         mesh.node_shape))
