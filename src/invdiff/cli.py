@@ -260,11 +260,19 @@ def _load_config(path, command: str) -> dict:
     return config
 
 
+def _json_value(value):
+    """value with each non-finite float, nested ones too, as None (null)."""
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path, payload: dict, config: dict):
     """Write payload stamped with the config's hash and the program version."""
     stamp = {"config_hash": _config_hash(config), "version": __version__}
     with open(path, "w") as f:
-        json.dump(payload | stamp, f, sort_keys=True, indent=2)
+        json.dump(_json_value(payload | stamp), f, sort_keys=True, indent=2,
+                  allow_nan=False)
         f.write("\n")
 
 
@@ -334,8 +342,7 @@ def _build_coefficient(config, mesh: Mesh) -> CoefficientField:
 def _build_rhs(config, mesh: Mesh) -> RightHandSide:
     spec = config.get("rhs", {})
     values = np.full(mesh.cell_shape, float(spec.get("constant", 0.0)))
-    masses = tuple((loc, w) for loc, w in spec.get("point_masses", []))
-    return RightHandSide(mesh, values, point_masses=masses)
+    return RightHandSide(mesh, values, point_masses=spec.get("point_masses", ()))
 
 
 def _solve(a: CoefficientField, f: RightHandSide, solver: dict):

@@ -13,8 +13,8 @@ import numpy as np
 
 from .mesh import Mesh, Partition
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
-                    grid_l2, norm_h10, coefficient_h1_seminorm, weighted_l2_sq,
-                    write_csv)
+                    grid_l2, norm_h10, coefficient_h1_seminorm, same_mesh,
+                    weighted_l2_sq, write_csv)
 from .forward import RightHandSide, solve_1d
 from .positivity import compute_weight, _loglog_fit
 
@@ -329,14 +329,13 @@ def weighted_estimate_monitor(a: CoefficientField, b: CoefficientField,
     within the WeightField tolerance is clipped at zero before integrating.
     Returns (lhs, rhs_norm, ratio).
     """
-    if a.mesh != b.mesh:
-        raise FieldArgumentError("coefficient meshes differ")
+    mesh = same_mesh(a, b, f)
     u_a = solve(a)
     u_b = solve(b)
     w = compute_weight(a, u_a, f)
     delta = a.values - b.values
-    lhs = weighted_l2_sq(a.mesh, delta ** 2 / a.values ** 2, w.clipped())
-    diff = ScalarField(a.mesh, u_a.values - u_b.values)
+    lhs = weighted_l2_sq(mesh, delta ** 2 / a.values ** 2, w.clipped())
+    diff = ScalarField(mesh, u_a.values - u_b.values)
     grad_bound = max(coefficient_h1_seminorm(a), coefficient_h1_seminorm(b))
     rhs_norm = norm_h10(diff) * f.sup_norm * (1.0 + grad_bound)
     if rhs_norm > 0:

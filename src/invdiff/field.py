@@ -15,7 +15,7 @@ from .mesh import Mesh
 
 __all__ = [
     "CoefficientField", "ScalarField", "GradientField",
-    "FieldArgumentError", "FieldInvariantError",
+    "FieldArgumentError", "FieldInvariantError", "checked_values", "same_mesh",
     "gradient", "corner_average", "norm_l2", "grid_l2", "norm_h10", "seminorm_hs",
     "coefficient_h1_seminorm", "weighted_l2_sq",
     "write_csv", "write_field_csv", "read_field_csv",
@@ -28,6 +28,27 @@ class FieldArgumentError(ValueError):
 
 class FieldInvariantError(ValueError):
     """A field value violates its declared invariant."""
+
+
+def checked_values(field, shape: tuple) -> np.ndarray:
+    """field.values as float64 (stored back), checked for shape and finiteness."""
+    values = np.asarray(field.values, dtype=float)
+    if values.shape != shape:
+        raise FieldArgumentError(
+            f"{type(field).__name__} shape {values.shape} != {shape}")
+    if not np.all(np.isfinite(values)):
+        raise FieldArgumentError(f"{type(field).__name__} has non-finite values")
+    object.__setattr__(field, "values", values)
+    return values
+
+
+def same_mesh(*args) -> Mesh:
+    """The one mesh that all args (fields, right sides, partitions) live on."""
+    mesh = args[0].mesh
+    if any(x.mesh != mesh for x in args):
+        raise FieldArgumentError("meshes differ: " + ", ".join(
+            f"{type(x).__name__} on {x.mesh}" for x in args))
+    return mesh
 
 
 @dataclass(frozen=True)
@@ -43,13 +64,7 @@ class CoefficientField:
     Lam: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != self.mesh.cell_shape:
-            raise FieldArgumentError(
-                f"coefficient shape {values.shape} != cells {self.mesh.cell_shape}")
-        if not np.all(np.isfinite(values)):
-            raise FieldArgumentError("coefficient has non-finite values")
+        values = checked_values(self, self.mesh.cell_shape)
         if not (0 < self.lam < self.Lam):
             raise FieldInvariantError(
                 f"need 0 < lam < Lam, got ({self.lam}, {self.Lam})")
@@ -72,13 +87,7 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != self.mesh.node_shape:
-            raise FieldArgumentError(
-                f"scalar shape {values.shape} != interior nodes {self.mesh.node_shape}")
-        if not np.all(np.isfinite(values)):
-            raise FieldArgumentError("scalar field has non-finite values")
+        checked_values(self, self.mesh.node_shape)
 
     def padded(self) -> np.ndarray:
         """Nodal values including the zero boundary ring, shape (N+1,)^d."""

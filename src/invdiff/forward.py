@@ -12,7 +12,7 @@ import numpy as np
 
 from .mesh import Mesh
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
-                    corner_average)
+                    checked_values, corner_average, same_mesh)
 
 __all__ = [
     "RightHandSide", "SolveReport", "SolverError",
@@ -43,36 +43,20 @@ class RightHandSide:
     mesh: Mesh
     values: np.ndarray
     point_masses: tuple = ()
-    positive: bool = False  # when set, asserts smooth part > 0 and no masses
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
+        checked_values(self, self.mesh.cell_shape)
         object.__setattr__(self, "point_masses",
                            tuple((float(x), float(w)) for x, w in self.point_masses))
-        if values.shape != self.mesh.cell_shape:
-            raise FieldArgumentError(
-                f"rhs shape {values.shape} != cells {self.mesh.cell_shape}")
-        if not np.all(np.isfinite(values)):
-            raise FieldArgumentError("rhs has non-finite values")
         if self.point_masses and self.mesh.dim != 1:
             raise FieldArgumentError("point masses are supported in dim 1 only")
         for x, _ in self.point_masses:
             if not 0.0 < x < 1.0:
                 raise FieldArgumentError(f"point mass location {x} outside (0,1)")
-        if self.positive:
-            if self.point_masses:
-                raise FieldArgumentError("positive rhs cannot carry point masses")
-            if values.min() <= 0:
-                raise FieldArgumentError(
-                    f"positive rhs has min {values.min()} <= 0")
 
     @staticmethod
-    def constant(mesh: Mesh, value: float, positive=None) -> "RightHandSide":
-        if positive is None:
-            positive = value > 0
-        return RightHandSide(mesh, np.full(mesh.cell_shape, float(value)),
-                             positive=positive)
+    def constant(mesh: Mesh, value: float) -> "RightHandSide":
+        return RightHandSide(mesh, np.full(mesh.cell_shape, float(value)))
 
     @staticmethod
     def point_mass(mesh: Mesh, location: float, weight: float) -> "RightHandSide":
@@ -135,11 +119,9 @@ def _antiderivative_at_centers(f: RightHandSide) -> np.ndarray:
 
 def solve_1d(a: CoefficientField, f: RightHandSide):
     """Exact-quadrature 1D solve; returns (u, gamma, report)."""
-    mesh = a.mesh
+    mesh = same_mesh(a, f)
     if mesh.dim != 1:
         raise FieldArgumentError("solve_1d requires a dim-1 mesh")
-    if f.mesh != mesh:
-        raise FieldArgumentError("coefficient and rhs meshes differ")
     u_full = np.zeros(mesh.n + 1)
     # 1/a overflows for an in-bounds a near the float minimum; checked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -333,13 +315,9 @@ def _pcg(apply_A, apply_M, b, tol, max_iter, scratch):
 def solve_fd_2d(a: CoefficientField, f: RightHandSide,
                 tol: float = DEFAULT_TOL, max_iter: int = 50000):
     """Five-point harmonic-flux solve on the unit square; returns (u, report)."""
-    mesh = a.mesh
+    mesh = same_mesh(a, f)
     if mesh.dim != 2:
         raise FieldArgumentError("solve_fd_2d requires a dim-2 mesh")
-    if f.mesh != mesh:
-        raise FieldArgumentError("coefficient and rhs meshes differ")
-    if f.point_masses:
-        raise FieldArgumentError("point-mass right sides are dim-1 only")
     if tol <= 0:
         raise FieldArgumentError(f"tol must be > 0, got {tol}")
     b = mesh.h ** 2 * corner_average(f.values)

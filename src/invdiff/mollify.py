@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (CoefficientField, FieldArgumentError, grid_l2,
-                    coefficient_h1_seminorm)
+                    coefficient_h1_seminorm, same_mesh)
 
 __all__ = ["MollifierSpec", "ResolutionError", "mollify",
            "approximation_functional", "bump_profile"]
@@ -118,7 +118,5 @@ def mollify(a: CoefficientField, spec: MollifierSpec) -> CoefficientField:
 def approximation_functional(a: CoefficientField, a_t: CoefficientField,
                              t: float) -> float:
     """||a - a_t||_L2 + t ||grad a_t||_L2 on the shared mesh."""
-    if a.mesh != a_t.mesh:
-        raise FieldArgumentError("fields live on different meshes")
-    return grid_l2(a.mesh, a.values - a_t.values) \
+    return grid_l2(same_mesh(a, a_t), a.values - a_t.values) \
         + t * coefficient_h1_seminorm(a_t)

@@ -10,7 +10,8 @@ import numpy as np
 
 from .mesh import Mesh
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
-                    FieldInvariantError, corner_average, gradient, write_csv)
+                    FieldInvariantError, checked_values, corner_average,
+                    gradient, same_mesh, write_csv)
 from .forward import RightHandSide
 
 __all__ = ["WeightField", "PositivityFit", "DegenerateFitError",
@@ -30,11 +31,7 @@ class WeightField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != self.mesh.cell_shape:
-            raise FieldArgumentError(
-                f"weight shape {values.shape} != cells {self.mesh.cell_shape}")
+        checked_values(self, self.mesh.cell_shape)
 
     def clipped(self) -> np.ndarray:
         return np.maximum(self.values, 0.0)
@@ -74,13 +71,15 @@ def _interpolate_gradient_sq_to_cells(u: ScalarField) -> np.ndarray:
 def compute_weight(a: CoefficientField, u: ScalarField,
                    f: RightHandSide) -> WeightField:
     """Cellwise a |grad u|^2 + f u with face-to-center interpolation."""
-    mesh = a.mesh
-    if u.mesh != mesh or f.mesh != mesh:
-        raise FieldArgumentError("coefficient, solution and rhs meshes differ")
+    mesh = same_mesh(a, u, f)
     if f.point_masses:
         raise FieldArgumentError("weight computation needs a smooth right side")
-    w = a.values * _interpolate_gradient_sq_to_cells(u) \
-        + f.values * corner_average(u.padded())
+    # an in-range a, u and f can still overflow w; checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = a.values * _interpolate_gradient_sq_to_cells(u) \
+            + f.values * corner_average(u.padded())
+    if not np.all(np.isfinite(w)):
+        raise DegenerateFitError("weight overflows to non-finite values")
     if f.is_nonnegative:
         floor = -1e-12 * max(float(w.max()), 0.0)
         if w.min() < floor:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh, Partition
-from .field import ScalarField, FieldArgumentError, gradient, write_csv
+from .field import ScalarField, FieldArgumentError, gradient, same_mesh, write_csv
 from .forward import RightHandSide
 from .mollify import bump_profile
 
@@ -107,9 +107,7 @@ def recover_pwc(u: ScalarField, f: RightHandSide, partition: Partition,
     bounds, when given as (lam, Lam), flags recovered values outside
     [lam/10, Lam*10] as out-of-range (they are reported unclamped).
     """
-    mesh = u.mesh
-    if f.mesh != mesh or partition.mesh != mesh:
-        raise FieldArgumentError("solution, rhs and partition meshes differ")
+    mesh = same_mesh(u, f, partition)
     if f.point_masses or f.values.min() <= 0:
         raise FieldArgumentError("recovery requires f >= c_f > 0 with no point masses")
     dim, h, n, m = mesh.dim, mesh.h, partition.n, partition.cells_per_side
@@ -170,11 +168,9 @@ def recover_1d(u: ScalarField, f: RightHandSide, w_excl: float = None,
     the pivot), and the result is clamped to [lam, Lam], counting the clamped
     cells in n_clamped. w_excl defaults to four mesh cells.
     """
-    mesh = u.mesh
+    mesh = same_mesh(u, f)
     if mesh.dim != 1:
         raise FieldArgumentError("recover_1d requires a dim-1 mesh")
-    if f.mesh != mesh:
-        raise FieldArgumentError("solution and rhs meshes differ")
     if w_excl is None:
         w_excl = 4.0 * mesh.h
     if w_excl <= 0:

@@ -24,6 +24,10 @@ def run(command, config, out):
     return main([command, "--config", config, "--out", str(out)])
 
 
+def reject_constant(name):
+    raise ValueError(f"JSON artifact holds {name}, which is not JSON")
+
+
 SOLVE_2D = {
     "mesh": {"dim": 2, "n": 64},
     "coefficient": {"kind": "constant", "value": 1.0,
@@ -340,10 +344,14 @@ class TestScan:
             "experiment": {"family": "step-1d-lowerbound", "seeds": [0],
                            "n_pairs": 12}})
         assert run("scan", cfg, tmp_path / "out") == EXIT_OK
-        fit = json.loads((tmp_path / "out" / "fit.json").read_text())
-        assert np.isnan(fit["alpha_hat"]) and fit["r2"] == 0.0
+        text = (tmp_path / "out" / "fit.json").read_text()
+        fit = json.loads(text)
+        # JSON has no NaN: the unfittable values are written as null
+        assert fit["alpha_hat"] is None and fit["c_hat"] is None
+        assert fit["r2"] == 0.0
         assert fit["n_used"] == 3 and fit["status"] == "insufficient-range"
         assert capfd.readouterr().err == ""
+        json.loads(text, parse_constant=reject_constant)
 
 
 class TestPcfit:
@@ -401,6 +409,20 @@ class TestPcfit:
             "fit": {"n_bins": 8},
         })
         assert run("pcfit", cfg, tmp_path / "out") == EXIT_NUMERICAL
+
+    def test_overflowing_weight_exits_numerical(self, tmp_path, capfd):
+        # u stays finite, but a |grad u|^2 + f u overflows
+        cfg = write_config(tmp_path, "p.json", {
+            "mesh": {"dim": 1, "n": 256},
+            "coefficient": {"kind": "constant", "value": 1.0,
+                            "lambda": 0.5, "Lambda": 2.0},
+            "rhs": {"constant": 1e300},
+            "fit": {"n_bins": 8},
+        })
+        assert run("pcfit", cfg, tmp_path / "out") == EXIT_NUMERICAL
+        assert capfd.readouterr().err == (
+            "invdiff: numerical failure: weight overflows to non-finite values\n")
+        assert not (tmp_path / "out" / "pcfit.json").exists()
 
 
 class TestMollcheck:

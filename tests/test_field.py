@@ -1,17 +1,83 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from invdiff.mesh import Mesh
+from invdiff.mesh import Mesh, Partition
 from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
                            FieldInvariantError, gradient, norm_l2, norm_h10,
                            grid_l2, seminorm_hs, coefficient_h1_seminorm,
                            weighted_l2_sq, write_field_csv, read_field_csv)
+from invdiff.forward import RightHandSide, solve_1d, solve_fd_2d
+from invdiff.positivity import WeightField, compute_weight
+from invdiff.recovery import recover_pwc, recover_1d
+from invdiff.experiments import weighted_estimate_monitor
+from invdiff.mollify import approximation_functional
 
 
 def coeff(mesh, values, lam=0.1, Lam=10.0):
     return CoefficientField(mesh, values, lam, Lam)
+
+
+# every field type, with the shape its values take on a mesh
+ARRAY_FIELDS = {
+    "coefficient": (lambda mesh, v: CoefficientField(mesh, v, 0.5, 2.0), "cell_shape"),
+    "scalar": (ScalarField, "node_shape"),
+    "rhs": (RightHandSide, "cell_shape"),
+    "weight": (WeightField, "cell_shape"),
+}
+
+
+@pytest.mark.parametrize("bad", ["shape", np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ARRAY_FIELDS)
+def test_array_check(kind, bad):
+    make, shape = ARRAY_FIELDS[kind]
+    mesh = Mesh(2, 4)
+    values = np.ones(getattr(mesh, shape))
+    if bad == "shape":
+        values, match = values[:-1], "shape"
+    else:
+        values[1, 2], match = bad, "non-finite"
+    with pytest.raises(FieldArgumentError, match=match):
+        make(mesh, values)
+
+
+Fields = namedtuple("Fields", "a u f")
+
+
+def fields(dim, n):
+    mesh = Mesh(dim, n)
+    return Fields(CoefficientField.constant(mesh, 1.0, 0.5, 2.0),
+                  ScalarField(mesh, np.zeros(mesh.node_shape)),
+                  RightHandSide.constant(mesh, 1.0))
+
+
+def solved_first(a):
+    pytest.fail("solved before the mesh check")
+
+
+# every function that takes fields (x, y) which must share a mesh, with
+# the mesh dimension it runs in
+MESH_CALLS = {
+    "solve_1d": (1, lambda x, y: solve_1d(x.a, y.f)),
+    "solve_fd_2d": (2, lambda x, y: solve_fd_2d(x.a, y.f)),
+    "compute_weight": (1, lambda x, y: compute_weight(x.a, y.u, x.f)),
+    "recover_pwc": (1, lambda x, y: recover_pwc(x.u, x.f, Partition(y.a.mesh, 2))),
+    "recover_1d": (1, lambda x, y: recover_1d(x.u, y.f, lam=0.5, Lam=2.0)),
+    "weighted_estimate_monitor": (1, lambda x, y: weighted_estimate_monitor(
+        x.a, y.a, x.f, solved_first)),
+    "approximation_functional": (1, lambda x, y: approximation_functional(
+        x.a, y.a, 0.1)),
+}
+
+
+@pytest.mark.parametrize("name", MESH_CALLS)
+def test_mesh_check(name):
+    dim, call = MESH_CALLS[name]
+    with pytest.raises(FieldArgumentError, match="meshes differ"):
+        call(fields(dim, 8), fields(dim, 16))
 
 
 class TestConstruction:

@@ -30,22 +30,16 @@ class TestRightHandSide:
             RightHandSide.point_mass(Mesh(1, 4), 1.5, 1.0)
 
     def test_positive_flag(self):
-        mesh = Mesh(1, 4)
-        with pytest.raises(FieldArgumentError):
-            RightHandSide(mesh, np.zeros(4), positive=True)
-        with pytest.raises(FieldArgumentError):
-            RightHandSide(mesh, np.ones(4), point_masses=((0.5, 1.0),),
-                          positive=True)
-        f = RightHandSide.constant(mesh, 2.0)
-        assert f.positive and f.sup_norm == 2.0 and f.is_nonnegative
+        f = RightHandSide.constant(Mesh(1, 4), 2.0)
+        assert f.sup_norm == 2.0 and f.is_nonnegative
 
-    @pytest.mark.parametrize("positive", [True, False])
-    def test_rejects_non_finite_values(self, positive):
-        # NaN slips past the positive flag's min comparison
+    @pytest.mark.parametrize("with_point_mass", [True, False])
+    def test_rejects_non_finite_values(self, with_point_mass):
+        masses = ((0.5, 1.0),) if with_point_mass else ()
         for bad in (np.nan, np.inf):
             with pytest.raises(FieldArgumentError, match="non-finite"):
                 RightHandSide(Mesh(1, 4), np.array([1.0, bad, 1.0, 1.0]),
-                              positive=positive)
+                              point_masses=masses)
 
 
 class TestSolve1d:
