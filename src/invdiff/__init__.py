@@ -5,7 +5,8 @@ empirical Hoelder-stability measurement."""
 
 __version__ = "0.1.0"
 
-from .mesh import Mesh, Partition, boundary_distance, region_split
+from .mesh import (Mesh, Partition, boundary_distance, region_split,
+                   InputError, NumericalError)
 from .field import (
     CoefficientField, ScalarField, GradientField,
     gradient, norm_l2, norm_h10, seminorm_hs,

@@ -1,6 +1,7 @@
 # Command-line front end: config-driven runs emitting CSV/JSON artifacts.
 #
-# Exit codes: 0 success, 2 config/usage or I/O error, 3 numerical failure.
+# Exit codes: 0 success, 2 config/usage or I/O error (InputError, OSError),
+# 3 numerical failure (NumericalError).
 
 from __future__ import annotations
 
@@ -15,17 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .mesh import Mesh, Partition, MeshArgumentError
-from .field import (CoefficientField, ScalarField, FieldArgumentError,
-                    FieldInvariantError, write_csv, write_field_csv,
+from .mesh import Mesh, Partition, MAX_CELLS, InputError, NumericalError
+from .field import (CoefficientField, ScalarField, write_csv, write_field_csv,
                     read_field_csv)
-from .forward import (RightHandSide, SolverError, solve_1d, solve_fd_2d,
-                      DEFAULT_TOL)
-from .positivity import (compute_weight, fit_pc_beta, DegenerateFitError,
-                         write_envelope_csv, _loglog_fit)
+from .forward import RightHandSide, solve_1d, solve_fd_2d, DEFAULT_TOL
+from .positivity import (compute_weight, fit_pc_beta, write_envelope_csv,
+                         _loglog_fit)
 from .mollify import MollifierSpec, mollify, approximation_functional, KERNELS
-from .recovery import (recover_pwc, recover_1d, RecoveryFailureError,
-                       MalformedInputError, AmbiguousPivotError)
+from .recovery import recover_pwc, recover_1d
 from .experiments import (coefficient_family, stability_scan, write_samples_csv,
                           sine_basis, sine_series, step_coefficient,
                           PIVOT_ALPHA0, FAMILY_TAGS, EPS_RANGE)
@@ -35,7 +33,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
@@ -63,7 +61,7 @@ _COEFFICIENT_SCHEMA = {
         "partition_n": {"type": "integer", "minimum": 1},
         "values": {"type": "array", "items": {"type": "number"}},
         "seed": {"type": "integer", "minimum": 0},
-        "k_max": {"type": "integer", "minimum": 1},
+        "k_max": {"type": "integer", "minimum": 1, "maximum": MAX_CELLS},
         "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
         "path": {"type": "string"},
     },
@@ -131,7 +129,8 @@ SCHEMAS = {
                     "family": {"enum": list(FAMILY_TAGS)},
                     "seeds": {"type": "array",
                               "items": {"type": "integer", "minimum": 0}},
-                    "n_pairs": {"type": "integer", "minimum": 1},
+                    "n_pairs": {"type": "integer", "minimum": 1,
+                                "maximum": MAX_CELLS},
                     "floor": {"type": "number", "exclusiveMinimum": 0},
                     "partition_n": {"type": "integer", "minimum": 1},
                     "eps_min": {"type": "number", "exclusiveMinimum": 0},
@@ -155,7 +154,8 @@ SCHEMAS = {
             "solver": _SOLVER_SCHEMA,
             "fit": {
                 "type": "object",
-                "properties": {"n_bins": {"type": "integer", "minimum": 4}},
+                "properties": {"n_bins": {"type": "integer", "minimum": 4,
+                                          "maximum": MAX_CELLS}},
                 "required": ["n_bins"],
                 "additionalProperties": False,
             },
@@ -171,7 +171,7 @@ SCHEMAS = {
             "kernel": {"enum": list(KERNELS)},
             "t_min_cells": {"type": "number", "minimum": 2},
             "t_max": {"type": "number", "exclusiveMinimum": 0},
-            "n_t": {"type": "integer", "minimum": 3},
+            "n_t": {"type": "integer", "minimum": 3, "maximum": MAX_CELLS},
         },
         "required": ["mesh", "field"],
         "additionalProperties": False,
@@ -187,11 +187,12 @@ def _config_hash(config: dict) -> str:
 _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
           "integer": int}
 # (keyword, test the value must pass, what failing it means)
-_BOUNDS = (("minimum", operator.ge, "less than the minimum of"),
+_BOUNDS = (("minimum", operator.ge, "is less than the minimum of"),
            ("exclusiveMinimum", operator.gt,
-            "less than or equal to the minimum of"),
+            "is less than or equal to the minimum of"),
+           ("maximum", operator.le, "exceeds the maximum of"),
            ("exclusiveMaximum", operator.lt,
-            "greater than or equal to the maximum of"))
+            "is greater than or equal to the maximum of"))
 
 
 def _check(value, schema: dict, path: str = "") -> None:
@@ -219,7 +220,7 @@ def _check(value, schema: dict, path: str = "") -> None:
         bad(f"is not one of {json.dumps(schema['enum'])}")
     for key, passes, reason in _BOUNDS:
         if key in schema and not passes(value, schema[key]):
-            bad(f"is {reason} {schema[key]!r}")
+            bad(f"{reason} {schema[key]!r}")
     if isinstance(value, list):
         lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
         if not lo <= len(value) <= hi:
@@ -250,8 +251,6 @@ def _load_config(path, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             config = json.load(f, parse_float=_finite, parse_constant=_finite)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
@@ -305,10 +304,7 @@ def _build_coefficient(config, mesh: Mesh) -> CoefficientField:
     if kind == "file":
         if "path" not in spec:
             raise ConfigError("file coefficient needs 'path'")
-        try:
-            values = read_field_csv(spec["path"], mesh, "cells")
-        except FileNotFoundError:
-            raise ConfigError(f"coefficient file not found: {spec['path']}")
+        values = read_field_csv(spec["path"], mesh, "cells")
         return CoefficientField(mesh, values, lam, Lam)
     if kind == "pwc":
         n = spec.get("partition_n")
@@ -327,6 +323,9 @@ def _build_coefficient(config, mesh: Mesh) -> CoefficientField:
     # fourier
     rng = np.random.default_rng([spec.get("seed", 0)])
     k_max = spec.get("k_max", 6)
+    if k_max * mesh.n > MAX_CELLS:
+        raise ConfigError(f"fourier basis of {k_max} x {mesh.n} values exceeds "
+                          f"the limit of {MAX_CELLS}")
     basis = sine_basis(mesh.cell_centers_1d(), k_max)
     series = sine_series(rng.standard_normal(k_max), basis)
     if mesh.dim == 2:
@@ -368,11 +367,7 @@ def cmd_solve(config, out: Path) -> int:
 
 def cmd_recover(config, out: Path) -> int:
     mesh = _build_mesh(config)
-    try:
-        u_values = read_field_csv(config["u_file"], mesh, "nodes")
-    except FileNotFoundError:
-        raise ConfigError(f"input u missing: {config['u_file']}")
-    u = ScalarField(mesh, u_values)
+    u = ScalarField(mesh, read_field_csv(config["u_file"], mesh, "nodes"))
     f = _build_rhs(config, mesh)
     lam, Lam = config["lambda"], config["Lambda"]
     if config["mode"] == "pwc":
@@ -479,12 +474,6 @@ COMMANDS = {
     "mollcheck": cmd_mollcheck,
 }
 
-_CONFIG_ERRORS = (ConfigError, MeshArgumentError, FieldArgumentError,
-                  FieldInvariantError)
-_NUMERICAL_ERRORS = (SolverError, DegenerateFitError, RecoveryFailureError,
-                     MalformedInputError, AmbiguousPivotError)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="invdiff",
@@ -500,19 +489,14 @@ def main(argv=None) -> int:
                         help="override the experiment seed list (scan only)")
     args = parser.parse_args(argv)
 
-    if args.threads < 1:
-        print(f"invdiff: --threads must be >= 1, got {args.threads}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if args.seed is not None and args.seed < 0:
-        print(f"invdiff: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.seed is not None and args.command != "scan":
-        print(f"invdiff: --seed applies to scan only, not {args.command}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if args.seed is not None and args.command != "scan":
+            raise ConfigError(
+                f"--seed applies to scan only, not {args.command}")
         config = _load_config(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -520,10 +504,10 @@ def main(argv=None) -> int:
             return cmd_scan(config, out, seed_override=args.seed,
                             threads=args.threads)
         return COMMANDS[args.command](config, out)
-    except _CONFIG_ERRORS as exc:
+    except InputError as exc:
         print(f"invdiff: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"invdiff: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

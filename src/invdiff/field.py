@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, InputError
 
 __all__ = [
     "CoefficientField", "ScalarField", "GradientField",
@@ -22,11 +22,11 @@ __all__ = [
 ]
 
 
-class FieldArgumentError(ValueError):
+class FieldArgumentError(InputError):
     """Field arguments inconsistent with the mesh or each other."""
 
 
-class FieldInvariantError(ValueError):
+class FieldInvariantError(InputError):
     """A field value violates its declared invariant."""
 
 

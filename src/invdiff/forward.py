@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, NumericalError
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
                     checked_values, corner_average, same_mesh)
 
@@ -23,7 +23,7 @@ __all__ = [
 DEFAULT_TOL = 1e-10  # relative residual at which a 2D solve stops
 
 
-class SolverError(RuntimeError):
+class SolverError(NumericalError, RuntimeError):
     """Iterative solver failed to reach the requested residual."""
 
     def __init__(self, message, residual=None, iterations=None):

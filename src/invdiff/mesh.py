@@ -7,14 +7,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh", "Partition", "boundary_distance", "region_split"]
+__all__ = ["Mesh", "Partition", "boundary_distance", "region_split",
+           "InputError", "NumericalError"]
 
 
 # cells per mesh: 2**27 float64 values are 1 GiB, for each array of a solve
 MAX_CELLS = 2 ** 27
 
 
-class MeshArgumentError(ValueError):
+# The base of each error class is its exit code in the CLI.
+class InputError(ValueError):
+    """The input cannot be used: a bad config, argument or file (exit 2)."""
+
+
+class NumericalError(Exception):
+    """A computation failed on usable input (exit 3)."""
+
+
+class MeshArgumentError(InputError):
     """Invalid mesh, cell index, or partition argument."""
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import InputError
 from .field import (CoefficientField, FieldArgumentError, grid_l2,
                     coefficient_h1_seminorm, same_mesh)
 
@@ -16,7 +17,7 @@ __all__ = ["MollifierSpec", "ResolutionError", "mollify",
 KERNELS = ("box", "bump")
 
 
-class ResolutionError(ValueError):
+class ResolutionError(InputError):
     """Smoothing scale too small for the grid (t < 2h)."""
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, NumericalError
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
                     FieldInvariantError, checked_values, corner_average,
                     gradient, same_mesh, write_csv)
@@ -18,7 +18,7 @@ __all__ = ["WeightField", "PositivityFit", "DegenerateFitError",
            "compute_weight", "fit_pc_beta", "check_pc"]
 
 
-class DegenerateFitError(ValueError):
+class DegenerateFitError(NumericalError, ValueError):
     """Envelope fit impossible (weight vanishes or too few usable bins)."""
 
 

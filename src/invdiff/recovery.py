@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, Partition
+from .mesh import Mesh, Partition, NumericalError
 from .field import ScalarField, FieldArgumentError, gradient, same_mesh, write_csv
 from .forward import RightHandSide
 from .mollify import bump_profile
@@ -22,15 +22,15 @@ __all__ = [
 SANITY_FACTOR = 10.0  # recovered values outside [lam/10, Lam*10] get flagged
 
 
-class RecoveryFailureError(RuntimeError):
+class RecoveryFailureError(NumericalError, RuntimeError):
     """No subcube produced a usable recovered value."""
 
 
-class MalformedInputError(ValueError):
+class MalformedInputError(NumericalError, ValueError):
     """The discrete derivative never changes sign, so there is no pivot."""
 
 
-class AmbiguousPivotError(ValueError):
+class AmbiguousPivotError(NumericalError, ValueError):
     """The discrete derivative changes sign more than once."""
 
     def __init__(self, crossings):

@@ -670,14 +670,24 @@ def test_thread_pool_loads_only_for_parallel_scans(tmp_path):
     assert proc.stdout.splitlines() == ["False", "0 False", "0 True"]
 
 
-# a mesh past 2**27 cells is refused before any array is allocated
+# a mesh past 2**27 cells, or a count that would allocate more values than
+# that, is refused before any array is allocated
 @pytest.mark.parametrize("payload,mesh", [
     (SOLVE_2D, {"dim": 2, "n": 10 ** 10}),
     (SOLVE_1D, {"dim": 1, "n": 2 ** 27 + 1}),
+    (with_value(FOURIER_1D, "coefficient/k_max", 10 ** 8), SOLVE_1D["mesh"]),
+    (with_value(scan_config(1), "experiment/n_pairs", 10 ** 12),
+     {"dim": 1, "n": 256}),
+    ({"field": "step", "n_t": 10 ** 12}, {"dim": 1, "n": 256}),
+    (SOLVE_1D | {"fit": {"n_bins": 10 ** 12}}, SOLVE_1D["mesh"]),
 ])
 def test_oversized_mesh_is_config_error(tmp_path, capsys, payload, mesh):
     cfg = write_config(tmp_path, "c.json", payload | {"mesh": mesh})
-    assert run("solve", cfg, tmp_path / "out") == EXIT_CONFIG
+    command = next((name for key, name in [("experiment", "scan"),
+                                           ("field", "mollcheck"),
+                                           ("fit", "pcfit")]
+                    if key in payload), "solve")
+    assert run(command, cfg, tmp_path / "out") == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("invdiff: config error:") and "exceeds" in err
     assert len(err.strip().splitlines()) == 1

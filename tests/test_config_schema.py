@@ -11,9 +11,9 @@ jsonschema = pytest.importorskip("jsonschema")
 
 # the keywords _check implements; a table using any other would be ignored
 IMPLEMENTED = {"type", "properties", "required", "additionalProperties", "enum",
-               "minimum", "exclusiveMinimum", "exclusiveMaximum", "items",
-               "minItems", "maxItems"}
-BOUNDS = {"minimum", "exclusiveMinimum", "exclusiveMaximum"}
+               "minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum",
+               "items", "minItems", "maxItems"}
+BOUNDS = {"minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum"}
 
 # one config per command that sets every key its table knows
 FULL = {
@@ -52,8 +52,9 @@ FULL = {
     },
 }
 # what every node of a full config is replaced by in turn
-VALUES = [0, 1, 2, 3, 4, -1, 64, 0.5, 1.0, 2.0, 64.0, -0.5, 1e-12, True, False,
-          None, "", "pwc", "1d", "box", "smooth-fourier", [], [1], {}]
+VALUES = [0, 1, 2, 3, 4, -1, 64, 2 ** 27 + 1, 0.5, 1.0, 2.0, 64.0, -0.5, 1e-12,
+          True, False, None, "", "pwc", "1d", "box", "smooth-fourier", [], [1],
+          {}]
 DELETE = object()
 
 
