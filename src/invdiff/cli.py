@@ -340,7 +340,7 @@ def _build_coefficient(config, mesh: Mesh) -> CoefficientField:
 
 def _build_rhs(config, mesh: Mesh) -> RightHandSide:
     spec = config.get("rhs", {})
-    values = np.full(mesh.cell_shape, float(spec.get("constant", 0.0)))
+    values = np.broadcast_to(float(spec.get("constant", 0.0)), mesh.cell_shape)
     return RightHandSide(mesh, values, point_masses=spec.get("point_masses", ()))
 
 

@@ -257,7 +257,8 @@ def fit_exponent(samples) -> ExponentFit:
     log_e = np.log(np.array([s.e_h10 for s in used]))
     log_d = np.log(np.array([s.delta_l2 for s in used]))
     alpha, logc, r2 = _loglog_fit(log_e, log_d)
-    c_hat = float(np.exp(logc))
+    with np.errstate(over="ignore"):  # an overflow gives inf, written as null
+        c_hat = float(np.exp(logc))
     status = "ok"
     span = float(np.exp(log_e.max() - log_e.min()))
     if len(used) < 8 or span < 100.0:

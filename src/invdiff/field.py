@@ -113,8 +113,10 @@ class GradientField:
 def gradient(u: ScalarField) -> GradientField:
     """Divided differences of adjacent nodal values with spacing h."""
     full = u.padded()
-    return GradientField(u.mesh, tuple(np.diff(full, axis=k) / u.mesh.h
-                                       for k in range(u.mesh.dim)))
+    components = tuple(np.diff(full, axis=k) for k in range(u.mesh.dim))
+    for g in components:
+        g /= u.mesh.h  # in place: no second array per component
+    return GradientField(u.mesh, components)
 
 
 def corner_average(values: np.ndarray, axes=None) -> np.ndarray:
@@ -419,8 +421,25 @@ def read_field_csv(path, mesh: Mesh, location: str = "cells") -> np.ndarray:
                               skiprows=1, ndmin=1)
         except ValueError as exc:
             raise FieldArgumentError(f"malformed field CSV body: {exc}") from None
-    idx = np.stack([rows[f"i{k}"] for k in range(mesh.dim)])
+    cols = [rows[f"i{k}"] for k in range(mesh.dim)]
     values = rows["value"]
+    # success path: min and max check the columns and the values, and the
+    # rows go straight into out, the only array made; a NaN left in out
+    # marks a position no row reached, so, with one row per position,
+    # another came twice
+    if (len(values) == math.prod(shape)
+            and all(lo <= c.min() and c.max() < hi for c in cols)
+            and np.isfinite(values.min()) and np.isfinite(values.max())):
+        for c in cols:
+            c -= lo
+        out = np.full(shape, np.nan)
+        out[tuple(cols)] = values
+        if not np.isnan(out.min()):
+            return out
+        for c in cols:
+            c += lo
+    # a faulty file: name its first fault, in the order of the checks below
+    idx = np.stack(cols)
     bad = np.flatnonzero(np.any((idx < lo) | (idx >= hi), axis=0))
     if bad.size:
         raise FieldArgumentError(
@@ -438,10 +457,6 @@ def read_field_csv(path, mesh: Mesh, location: str = "cells") -> np.ndarray:
         raise FieldArgumentError(
             f"duplicate field CSV rows for index "
             f"{tuple(int(k) + lo for k in twice)}")
-    if len(values) != counts.size:
-        raise FieldArgumentError(
-            f"field CSV row count {len(values)} does not cover declared mesh "
-            f"shape {shape}")
-    out = np.empty(counts.size)
-    out[flat] = values
-    return out.reshape(shape)
+    raise FieldArgumentError(
+        f"field CSV row count {len(values)} does not cover declared mesh "
+        f"shape {shape}")

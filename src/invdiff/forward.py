@@ -37,7 +37,8 @@ class RightHandSide:
     """Right side f: a cellwise smooth part plus optional 1D point masses.
 
     values is not written after construction: the 1D antiderivative is
-    cached on first use and would go stale.
+    cached on first use and would go stale. The constant right sides are
+    read-only broadcast views of one number, so they hold no mesh-sized array.
     """
 
     mesh: Mesh
@@ -56,11 +57,11 @@ class RightHandSide:
 
     @staticmethod
     def constant(mesh: Mesh, value: float) -> "RightHandSide":
-        return RightHandSide(mesh, np.full(mesh.cell_shape, float(value)))
+        return RightHandSide(mesh, np.broadcast_to(float(value), mesh.cell_shape))
 
     @staticmethod
     def point_mass(mesh: Mesh, location: float, weight: float) -> "RightHandSide":
-        return RightHandSide(mesh, np.zeros(mesh.cell_shape),
+        return RightHandSide(mesh, np.broadcast_to(0.0, mesh.cell_shape),
                              point_masses=((location, weight),))
 
     @functools.cached_property
@@ -270,21 +271,23 @@ def _pcg(apply_A, apply_M, b, tol, max_iter, scratch):
     """Preconditioned CG on preallocated iterate arrays.
 
     b becomes the residual r and is overwritten. The loop allocates no
-    arrays: every update writes into x, r, z, p, Ap or scratch, each of the
-    size of b; apply_A may use scratch too, as it holds nothing across calls.
+    arrays: every update writes into x, r, p, scratch or the one array that
+    z and Ap share, each of the size of b; apply_A may use scratch too, as it
+    holds nothing across calls. z is dead from the update of r to the next
+    apply_M, and Ap from there to the next apply_A, so one array holds both.
     """
     norm_b = math.sqrt(_dot(b, b, scratch))
     if norm_b == 0.0:
         return np.zeros_like(b), 0, 0.0
     x = np.zeros_like(b)
     r = b
-    z = apply_M(r, np.empty_like(b))
+    z_or_Ap = np.empty_like(b)
+    z = apply_M(r, z_or_Ap)
     p = z.copy()
-    Ap = np.empty_like(b)
     rz = _dot(r, z, scratch)
     rel = 1.0
     for it in range(1, max_iter + 1):
-        apply_A(p, Ap)
+        Ap = apply_A(p, z_or_Ap)
         pAp = _dot(p, Ap, scratch)
         # both curvatures are positive and finite for an SPD operator; an
         # overflowing coefficient would otherwise iterate on NaN to max_iter
@@ -302,7 +305,7 @@ def _pcg(apply_A, apply_M, b, tol, max_iter, scratch):
                 residual=rel, iterations=it)
         if rel <= tol:
             return x, it, rel
-        z = apply_M(r, z)
+        z = apply_M(r, z_or_Ap)
         rz_new = _dot(r, z, scratch)
         p *= rz_new / rz
         p += z

@@ -124,13 +124,17 @@ def fit_pc_beta(w: WeightField, n_bins: int) -> PositivityFit:
         raise DegenerateFitError(f"no cells beyond one layer (max dist {dmax} <= h)")
     edges = np.geomspace(h, dmax, n_bins + 1)
     edges[-1] = np.nextafter(edges[-1], np.inf)  # keep the farthest cell inside
-    which = np.digitize(dist, edges) - 1
+    which = np.digitize(dist, edges)  # 0 in the dropped layer, else bin + 1
+    # cells by bin, and by cell within a bin: each bin is one run, whose
+    # first minimum is the bin's first minimal cell, so every cell is
+    # looked at once however many bins there are
+    order = np.argsort(which, kind="stable")
+    bounds = np.searchsorted(which[order], np.arange(1, n_bins + 2))
+    runs = vals[order]
     log_d, log_w = [], []
-    for b in range(n_bins):
-        members = np.nonzero(which == b)[0]
-        if len(members) < 5:
-            continue
-        k = members[np.argmin(vals[members])]
+    for b in np.flatnonzero(np.diff(bounds) >= 5):
+        start, stop = bounds[b], bounds[b + 1]
+        k = order[start + np.argmin(runs[start:stop])]
         if vals[k] <= 0:
             continue
         log_d.append(np.log(dist[k]))

@@ -72,6 +72,13 @@ def subcube_bump(partition: Partition, q: int):
     support margin, so it vanishes on the cells and nodes adjacent to the
     subcube boundary; the cell values integrate to one discretely.
     """
+    return _bump(partition, q, partition.mesh.n)
+
+
+def _bump(partition: Partition, q: int, extent: int):
+    """subcube_bump's values on the first extent cells and extent + 1 nodes
+    along each axis. The mass sums the cell values over the whole mesh, so
+    that its rounding does not depend on extent."""
     mesh = partition.mesh
     h = mesh.h
     radius = 0.5 / partition.n - h
@@ -85,9 +92,9 @@ def subcube_bump(partition: Partition, q: int):
                                 [bump_profile((x - c) / radius) for c in center])
 
     cell_vals = bump(mesh.cell_centers_1d())
-    node_vals = bump(np.arange(mesh.n + 1) * h)
     mass = float(mesh.h ** mesh.dim * cell_vals.sum())
-    return cell_vals / mass, node_vals / mass
+    node_vals = bump(np.arange(extent + 1) * h)
+    return cell_vals[(slice(0, extent),) * mesh.dim] / mass, node_vals / mass
 
 
 def recover_pwc(u: ScalarField, f: RightHandSide, partition: Partition,
@@ -113,13 +120,12 @@ def recover_pwc(u: ScalarField, f: RightHandSide, partition: Partition,
     dim, h, n, m = mesh.dim, mesh.h, partition.n, partition.cells_per_side
     hd = h ** dim
     scale = n ** ((dim + 2) / 2.0)
-    phi_cells, phi_nodes = subcube_bump(partition, 0)
+    phi_cells, phi_nodes = _bump(partition, 0, m)
     window = (slice(0, m),) * dim
-    node_window = phi_nodes[(slice(0, m + 1),) * dim]
     # np.diff along axis k gives m faces along k and m+1 face lines across
     # each other axis; the last of those lies on Q's far edge, outside the
     # support, so the m^d window keeps every nonzero face.
-    g_phi = [np.diff(node_window, axis=k)[window] / h for k in range(dim)]
+    g_phi = [np.diff(phi_nodes, axis=k)[window] / h for k in range(dim)]
 
     # block subscripts: "ai" in 1D, "aibj" in 2D; a, b index subcubes
     block = "aibj"[:2 * dim]
@@ -129,7 +135,9 @@ def recover_pwc(u: ScalarField, f: RightHandSide, partition: Partition,
     def blocks(arr):
         return arr[(slice(0, mesh.n),) * dim].reshape((n, m) * dim)
 
-    num = hd * np.einsum(contract, blocks(f.values), phi_cells[window])
+    # einsum sums in an order that follows its operands' strides, so a
+    # broadcast f is laid out in full first; it is freed before the gradient
+    num = hd * np.einsum(contract, blocks(np.ascontiguousarray(f.values)), phi_cells)
     den = np.zeros(num.shape)
     grad_sq = np.zeros(num.shape)
     for k, g_u in enumerate(gradient(u).components):

@@ -353,6 +353,19 @@ class TestScan:
         assert capfd.readouterr().err == ""
         json.loads(text, parse_constant=reject_constant)
 
+    def test_overflowing_constant_is_null(self, tmp_path, capfd):
+        # two samples fit a slope near 1000, whose intercept overflows exp
+        cfg = write_config(tmp_path, "scan.json", {
+            "mesh": {"dim": 2, "n": 4},
+            "experiment": {"family": "pwc-random", "seeds": [1, 5009],
+                           "n_pairs": 1}})
+        assert run("scan", cfg, tmp_path / "out") == EXIT_OK
+        text = (tmp_path / "out" / "fit.json").read_text()
+        fit = json.loads(text, parse_constant=reject_constant)
+        assert fit["c_hat"] is None and fit["alpha_hat"] > 100
+        assert fit["n_used"] == 2 and fit["status"] == "insufficient-range"
+        assert capfd.readouterr().err == ""
+
 
 class TestPcfit:
     @pytest.mark.parametrize("mesh", [{"dim": 1, "n": 256},

@@ -1,3 +1,4 @@
+import re
 from collections import namedtuple
 
 import numpy as np
@@ -308,29 +309,67 @@ class TestFieldCsv:
     def test_rejects_non_finite_value(self, tmp_path, bad):
         path = tmp_path / "f.csv"
         path.write_text(f"index,value\n0,1\n1,{bad}\n2,1\n3,1\n")
-        with pytest.raises(FieldArgumentError, match="non-finite"):
+        with pytest.raises(FieldArgumentError, match=re.escape(
+                f"non-finite value {bad} at index (1,) in field CSV")):
             read_field_csv(path, Mesh(1, 4), "cells")
 
     # dim-2 nodes on Mesh(2, 3): interior indices 1..2 per axis
     GOOD_ROWS = ["1,1,0.5", "1,2,1.5", "2,1,2.5", "2,2,3.5"]
+    DUPLICATE = "duplicate field CSV rows for index "
+    RANGE = " out of range [1,3) for declared mesh"
+    COUNT = " does not cover declared mesh shape (2, 2)"
 
-    @pytest.mark.parametrize("rows,match", [
+    @staticmethod
+    def fault_kind(message):
+        """The kind of fault a message names, as the case's id."""
+        if isinstance(message, str):
+            return next(kind for kind in ("malformed", "duplicate", "does not cover",
+                                          "out of range", "non-finite")
+                        if kind in message)
+        return None
+
+    # a fault's message names the first faulty row, and a range fault comes
+    # before a non-finite value, before a duplicate, before the row count
+    @pytest.mark.parametrize("rows,message", [
         (["1.5,1,2"] + GOOD_ROWS[1:], "malformed"),
         (["1,1,abc"] + GOOD_ROWS[1:], "malformed"),
         (["1,1"] + GOOD_ROWS[1:], "malformed"),
         (["1,1,0.5,7"] + GOOD_ROWS[1:], "malformed"),
-        (GOOD_ROWS + ["2,2,3.5"], "duplicate"),
-        (GOOD_ROWS[:2] + ["1,2,9.0"] + GOOD_ROWS[3:], "duplicate"),
-        (GOOD_ROWS[:3], "does not cover"),
-        ([], "does not cover"),
-        (GOOD_ROWS[:3] + ["3,2,3.5"], "out of range"),
-        (GOOD_ROWS[:3] + ["2,0,3.5"], "out of range"),
-    ])
-    def test_rejects_malformed_body(self, tmp_path, rows, match):
+        # one row too many
+        (GOOD_ROWS + ["2,2,3.5"], DUPLICATE + "(2, 2)"),
+        # the right row count, one position twice and one missing
+        (GOOD_ROWS[:2] + ["1,2,9.0"] + GOOD_ROWS[3:], DUPLICATE + "(1, 2)"),
+        (GOOD_ROWS[:3], "field CSV row count 3" + COUNT),
+        ([], "field CSV row count 0" + COUNT),
+        (GOOD_ROWS[:3] + ["3,2,3.5"], "index (3, 2)" + RANGE),
+        (GOOD_ROWS[:3] + ["2,0,3.5"], "index (2, 0)" + RANGE),
+        (["2,2,1", "0,0,1", "1,1,1", "3,1,1"], "index (0, 0)" + RANGE),
+        (GOOD_ROWS[:2] + ["2,1,nan", "3,2,3.5"], "index (3, 2)" + RANGE),
+        (GOOD_ROWS[:3] + ["2,1,inf"], "non-finite value inf at index (2, 1) in field CSV"),
+        (GOOD_ROWS[:2] + ["2,1,-inf", "1,2,1.0"],
+         "non-finite value -inf at index (2, 1) in field CSV"),
+        (["1,1,1"] + GOOD_ROWS, DUPLICATE + "(1, 1)"),
+    ], ids=fault_kind)
+    def test_rejects_malformed_body(self, tmp_path, rows, message):
         path = tmp_path / "f.csv"
         path.write_text("i,j,value\n" + "".join(r + "\n" for r in rows))
+        match = message if message == "malformed" else f"^{re.escape(message)}$"
         with pytest.raises(FieldArgumentError, match=match):
             read_field_csv(path, Mesh(2, 3), "nodes")
+
+    def test_peak_memory(self, tmp_path, traced_peak):
+        # beyond what np.loadtxt itself holds: the output array, which the
+        # rows are written into directly
+        mesh = Mesh(2, 128)
+        values = np.random.default_rng(4).standard_normal(mesh.node_shape)
+        path = tmp_path / "u.csv"
+        write_field_csv(path, mesh, values, "nodes")
+        dtype = [("i0", np.int64), ("i1", np.int64), ("value", np.float64)]
+        _, bare = traced_peak(np.loadtxt, path, dtype=dtype, delimiter=",",
+                              comments=None, skiprows=1, ndmin=1)
+        back, peak = traced_peak(read_field_csv, path, mesh, "nodes")
+        assert np.array_equal(back, values)
+        assert peak - bare <= 1.25 * back.nbytes
 
     def test_accepts_any_row_order_and_blank_lines(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -3,13 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
-from invdiff.mesh import Mesh
+from invdiff.mesh import Mesh, Partition
 from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
                            norm_h10)
 from invdiff.forward import (RightHandSide, SolveReport, SolverError,
                              solve_1d, solve_fd_2d, series_cube,
                              maximum_principle_check, face_coefficients,
                              energy_form, load_functional, _five_point)
+from invdiff.positivity import compute_weight, fit_pc_beta
+from invdiff.recovery import recover_pwc
+from invdiff.cli import _build_rhs
 
 GAMMA_ONE_PLUS_X = (1 - np.log(2)) / np.log(2)  # integrals of t/(1+t), 1/(1+t)
 
@@ -40,6 +43,63 @@ class TestRightHandSide:
             with pytest.raises(FieldArgumentError, match="non-finite"):
                 RightHandSide(Mesh(1, 4), np.array([1.0, bad, 1.0, 1.0]),
                               point_masses=masses)
+
+
+class TestConstantRightSides:
+    """Constant right sides are read-only broadcast views of one number, and
+    every computation on them gives the bits of the full array."""
+
+    @pytest.mark.parametrize("make", [
+        lambda mesh: RightHandSide.constant(mesh, 1.0),
+        lambda mesh: RightHandSide.point_mass(mesh, 0.5, 2.0),
+        lambda mesh: _build_rhs({"rhs": {"constant": 1.0}}, mesh),
+        lambda mesh: _build_rhs({"rhs": {"point_masses": [[0.5, 2.0]]}}, mesh),
+    ], ids=["constant", "point_mass", "config", "config_point_mass"])
+    def test_values_are_read_only(self, make):
+        f = make(Mesh(1, 8))
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0] = 2.0
+        assert f.values.strides == (0,)
+
+    @staticmethod
+    def pairs(dim, n, value=1.5):
+        """A pwc coefficient on the mesh, with f = value as a full array and
+        as a constant right side."""
+        mesh = Mesh(dim, n)
+        part = Partition(mesh, 4)
+        rng = np.random.default_rng(3)
+        a = CoefficientField(mesh, rng.uniform(1.0, 2.0, part.n_subcubes)[
+            part.subcube_of_cells()], 1.0, 2.0)
+        full = RightHandSide(mesh, np.full(mesh.cell_shape, value))
+        return mesh, a, full, RightHandSide.constant(mesh, value)
+
+    @staticmethod
+    def solve(a, f):
+        if a.mesh.dim == 1:
+            u, _, report = solve_1d(a, f)
+            return u, report
+        return solve_fd_2d(a, f)
+
+    @pytest.mark.parametrize("dim,n", [(1, 96), (2, 64)])
+    def test_solve_and_pcfit_bits(self, dim, n):
+        _, a, full, const = self.pairs(dim, n)
+        (u, report), (u_c, report_c) = self.solve(a, full), self.solve(a, const)
+        assert np.array_equal(u_c.values, u.values) and report_c == report
+        fit, fit_c = (fit_pc_beta(compute_weight(a, u, f), 12) for f in (full, const))
+        assert fit_c.to_json_dict() == fit.to_json_dict()
+        assert np.array_equal(fit_c.log_dist, fit.log_dist)
+        assert np.array_equal(fit_c.log_wmin, fit.log_wmin)
+
+    # on these 2D meshes einsum sums a broadcast f in another order
+    @pytest.mark.parametrize("dim,n,partition_n", [(1, 96, 3), (2, 64, 4),
+                                                   (2, 96, 3)])
+    def test_pwc_recover_bits(self, dim, n, partition_n):
+        mesh, a, full, const = self.pairs(dim, n)
+        u, _ = self.solve(a, full)
+        part = Partition(mesh, partition_n)
+        rec, rec_c = (recover_pwc(u, f, part, bounds=(1.0, 2.0))
+                      for f in (full, const))
+        assert np.array_equal(rec_c.values, rec.values) and rec_c.flags == rec.flags
 
 
 class TestSolve1d:
@@ -116,6 +176,15 @@ class TestSolve1d:
 
 
 class TestSolveFd2d:
+    def test_peak_memory(self, traced_peak):
+        # CG holds eight (N-1)^2 arrays: x, r, p, the array z and Ap share,
+        # the scratch array and the stencil's diag, ax and ay. A separate Ap
+        # made it nine.
+        _, a, f, _ = TestConstantRightSides.pairs(2, 128)
+        solve_fd_2d(a, f)  # imports scipy.fft and caches the eigenvalue table
+        _, peak = traced_peak(solve_fd_2d, a, f)
+        assert peak <= 8 * 127 ** 2 * 8 + traced_peak.overhead
+
     def test_manufactured_solution_order(self):
         errors = {}
         for n in (64, 128):

@@ -76,7 +76,45 @@ class TestComputeWeight:
             compute_weight(a, u, f)
 
 
+def reference_envelope(w, n_bins):
+    """fit_pc_beta's envelope points, found by scanning every cell once per
+    bin; each bin's first minimal cell in cell order is its point."""
+    mesh = w.mesh
+    vals = w.values.ravel()
+    dist = mesh.boundary_distances().ravel()
+    edges = np.geomspace(mesh.h, float(dist.max()), n_bins + 1)
+    edges[-1] = np.nextafter(edges[-1], np.inf)
+    which = np.digitize(dist, edges) - 1
+    log_d, log_w = [], []
+    for b in range(n_bins):
+        members = np.nonzero(which == b)[0]
+        if len(members) < 5:
+            continue
+        k = members[np.argmin(vals[members])]
+        if vals[k] <= 0:
+            continue
+        log_d.append(np.log(dist[k]))
+        log_w.append(np.log(vals[k]))
+    return np.asarray(log_d), np.asarray(log_w)
+
+
 class TestFitPcBeta:
+    @pytest.mark.parametrize("n_bins", [4, 12, 1200])
+    @pytest.mark.parametrize("dim,n", [(1, 65536), (2, 96)])
+    def test_envelope_matches_per_bin_scan(self, dim, n, n_bins):
+        # the torsion weight is symmetric, so bins hold tied minima; the
+        # rounded noise has more ties, and zeros within two cells of the
+        # boundary, so that the nearest bin's point is skipped
+        mesh, _, _, _, torsion = torsion_weight(dim, n)
+        rng = np.random.default_rng(n_bins)
+        noise = np.round(rng.uniform(0.01, 1.0, mesh.cell_shape), 2)
+        noise[mesh.boundary_distances() < 2 * mesh.h] = 0.0
+        for w in (torsion, WeightField(mesh, noise)):
+            log_d, log_w = reference_envelope(w, n_bins)
+            fit = fit_pc_beta(w, n_bins)
+            assert np.array_equal(fit.log_dist, log_d)
+            assert np.array_equal(fit.log_wmin, log_w)
+
     def test_recovers_synthetic_model(self):
         mesh = Mesh(2, 128)
         w = WeightField(mesh, mesh.boundary_distances() ** 2)

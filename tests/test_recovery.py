@@ -5,7 +5,7 @@ from invdiff.mesh import Mesh, Partition
 from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
                            gradient, grid_l2, norm_h10)
 from invdiff.forward import RightHandSide, solve_1d, solve_fd_2d
-from invdiff.recovery import (recover_pwc, recover_1d, subcube_bump,
+from invdiff.recovery import (recover_pwc, recover_1d, subcube_bump, _bump,
                               MalformedInputError, AmbiguousPivotError,
                               RecoveryFailureError, SANITY_FACTOR)
 
@@ -170,12 +170,34 @@ class TestSubcubeBump:
             assert max(ratios) <= 10.0
             assert max(ratios) / min(ratios) <= 1.5
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_window_is_a_slice_of_the_full_bump(self, dim):
+        # bit for bit, also where the window's own sum would give another
+        # mass: in dim 2 at (24, 2), (64, 4) and (100, 2), among others
+        for n_side in (24, 48, 64, 96, 100, 128):
+            for n in (2, 3, 4, 8):
+                if n_side % n or n_side <= 2 * n:
+                    continue
+                part = Partition(Mesh(dim, n_side), n)
+                m = part.cells_per_side
+                cells, nodes = _bump(part, 0, m)
+                full_cells, full_nodes = subcube_bump(part, 0)
+                assert np.array_equal(cells, full_cells[(slice(0, m),) * dim])
+                assert np.array_equal(nodes, full_nodes[(slice(0, m + 1),) * dim])
+
     def test_too_fine_partition_rejected(self):
         with pytest.raises(FieldArgumentError):
             subcube_bump(Partition(Mesh(1, 8), 4), 0)
 
 
 class TestRecoverPwc:
+    def test_peak_memory(self, traced_peak):
+        # three (N+1)^2 arrays at most: the padded u and its two gradient
+        # components; the bump is held on one subcube's window only
+        mesh, _, f, u = pwc_solution(2, 128, 4, seed=2)
+        _, peak = traced_peak(recover_pwc, u, f, Partition(mesh, 8))
+        assert peak <= 3 * 129 ** 2 * 8 + traced_peak.overhead
+
     def test_constant_coefficient_1d(self):
         mesh = Mesh(1, 128)
         x = mesh.node_coords_1d()
