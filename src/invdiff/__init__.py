@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .mesh import (Mesh, Partition, boundary_distance, region_split,
                    InputError, NumericalError)
 from .field import (
-    CoefficientField, ScalarField, GradientField,
+    CoefficientField, ScalarField,
     gradient, norm_l2, norm_h10, seminorm_hs,
     coefficient_h1_seminorm, weighted_l2_sq,
     write_field_csv, read_field_csv,

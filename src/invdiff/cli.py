@@ -11,6 +11,7 @@ import json
 import math
 import operator
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .field import (CoefficientField, ScalarField, write_csv, write_field_csv,
                     read_field_csv)
 from .forward import RightHandSide, solve_1d, solve_fd_2d, DEFAULT_TOL
 from .positivity import (compute_weight, fit_pc_beta, write_envelope_csv,
-                         _loglog_fit)
+                         power_law_fit)
 from .mollify import MollifierSpec, mollify, approximation_functional, KERNELS
 from .recovery import recover_pwc, recover_1d
 from .experiments import (coefficient_family, stability_scan, write_samples_csv,
@@ -340,8 +341,8 @@ def _build_coefficient(config, mesh: Mesh) -> CoefficientField:
 
 def _build_rhs(config, mesh: Mesh) -> RightHandSide:
     spec = config.get("rhs", {})
-    values = np.broadcast_to(float(spec.get("constant", 0.0)), mesh.cell_shape)
-    return RightHandSide(mesh, values, point_masses=spec.get("point_masses", ()))
+    return replace(RightHandSide.constant(mesh, spec.get("constant", 0.0)),
+                   point_masses=spec.get("point_masses", ()))
 
 
 def _solve(a: CoefficientField, f: RightHandSide, solver: dict):
@@ -355,17 +356,16 @@ def _solve(a: CoefficientField, f: RightHandSide, solver: dict):
 # --------------------------------------------------------------------------
 # Subcommands
 
-def cmd_solve(config, out: Path) -> int:
+def cmd_solve(config, out: Path):
     mesh = _build_mesh(config)
     a = _build_coefficient(config, mesh)
     f = _build_rhs(config, mesh)
     u, report = _solve(a, f, config.get("solver", {}))
     write_field_csv(out / "u.csv", mesh, u.values, "nodes")
     _write_json(out / "report.json", report.to_json_dict(), config)
-    return EXIT_OK
 
 
-def cmd_recover(config, out: Path) -> int:
+def cmd_recover(config, out: Path):
     mesh = _build_mesh(config)
     u = ScalarField(mesh, read_field_csv(config["u_file"], mesh, "nodes"))
     f = _build_rhs(config, mesh)
@@ -384,10 +384,9 @@ def cmd_recover(config, out: Path) -> int:
         payload = ({"mode": "1d", "n_clamped": rec.n_clamped}
                    | rec.to_json_dict())
     _write_json(out / "recovery.json", payload, config)
-    return EXIT_OK
 
 
-def cmd_scan(config, out: Path, seed_override=None, threads: int = 1) -> int:
+def cmd_scan(config, out: Path, seed_override=None, threads: int = 1):
     mesh = _build_mesh(config)
     exp = config["experiment"]
     seeds = [seed_override] if seed_override is not None else exp["seeds"]
@@ -424,10 +423,9 @@ def cmd_scan(config, out: Path, seed_override=None, threads: int = 1) -> int:
               "residual_max": max(r.final_relative_residual for r in reports)}
     _write_json(out / "fit.json", fit.to_json_dict() | {"solver": effort},
                 config)
-    return EXIT_OK
 
 
-def cmd_pcfit(config, out: Path) -> int:
+def cmd_pcfit(config, out: Path):
     mesh = _build_mesh(config)
     a = _build_coefficient(config, mesh)
     f = _build_rhs(config, mesh)
@@ -437,10 +435,9 @@ def cmd_pcfit(config, out: Path) -> int:
     write_envelope_csv(out / "envelope.csv", fit)
     _write_json(out / "pcfit.json", fit.to_json_dict() | report.to_json_dict(),
                 config)
-    return EXIT_OK
 
 
-def cmd_mollcheck(config, out: Path) -> int:
+def cmd_mollcheck(config, out: Path):
     mesh = _build_mesh(config)
     if mesh.dim != 1:
         raise ConfigError("mollcheck runs on dim-1 meshes")
@@ -458,12 +455,11 @@ def cmd_mollcheck(config, out: Path) -> int:
     ts = np.geomspace(t_lo, t_hi, config.get("n_t", 8))
     vals = [approximation_functional(a, mollify(a, MollifierSpec(t, kernel)), t)
             for t in ts]
-    slope = float(_loglog_fit(np.log(ts), np.log(vals))[0])
+    slope = power_law_fit(np.log(ts), np.log(vals))[0]
     write_csv(out / "moll.csv", "t,functional", [ts, vals])
     _write_json(out / "mollcheck.json",
                 {"slope": slope, "field": config["field"], "kernel": kernel},
                 config)
-    return EXIT_OK
 
 
 COMMANDS = {
@@ -501,9 +497,9 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "scan":
-            return cmd_scan(config, out, seed_override=args.seed,
-                            threads=args.threads)
-        return COMMANDS[args.command](config, out)
+            cmd_scan(config, out, seed_override=args.seed, threads=args.threads)
+        else:
+            COMMANDS[args.command](config, out)
     except InputError as exc:
         print(f"invdiff: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -513,6 +509,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"invdiff: I/O error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

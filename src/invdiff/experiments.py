@@ -16,7 +16,7 @@ from .field import (CoefficientField, ScalarField, FieldArgumentError,
                     grid_l2, norm_h10, coefficient_h1_seminorm, same_mesh,
                     weighted_l2_sq, write_csv)
 from .forward import RightHandSide, solve_1d
-from .positivity import compute_weight, _loglog_fit
+from .positivity import compute_weight, power_law_fit
 
 __all__ = [
     "PIVOT_ALPHA0", "EPS_RANGE", "PairSample", "ExponentFit",
@@ -256,14 +256,12 @@ def fit_exponent(samples) -> ExponentFit:
                            n_excluded, status="insufficient-range")
     log_e = np.log(np.array([s.e_h10 for s in used]))
     log_d = np.log(np.array([s.delta_l2 for s in used]))
-    alpha, logc, r2 = _loglog_fit(log_e, log_d)
-    with np.errstate(over="ignore"):  # an overflow gives inf, written as null
-        c_hat = float(np.exp(logc))
+    alpha, c_hat, r2 = power_law_fit(log_e, log_d)
     status = "ok"
     span = float(np.exp(log_e.max() - log_e.min()))
     if len(used) < 8 or span < 100.0:
         status = "insufficient-range"
-    return ExponentFit(float(alpha), c_hat, r2, len(used), n_excluded, status)
+    return ExponentFit(alpha, c_hat, r2, len(used), n_excluded, status)
 
 
 def envelope_constant(samples, alpha: float) -> float:

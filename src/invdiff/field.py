@@ -1,6 +1,6 @@
-# Coefficient / scalar / gradient fields on a mesh, and the norms used
-# by the stability estimates: L2, the H1_0 seminorm, the Gagliardo H^s
-# seminorm, and the weighted L2 functional.
+# Coefficient and scalar fields on a mesh, their face gradients, and the
+# norms used by the stability estimates: L2, the H1_0 seminorm, the
+# Gagliardo H^s seminorm, and the weighted L2 functional.
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 from .mesh import Mesh, InputError
 
 __all__ = [
-    "CoefficientField", "ScalarField", "GradientField",
+    "CoefficientField", "ScalarField",
     "FieldArgumentError", "FieldInvariantError", "checked_values", "same_mesh",
     "gradient", "corner_average", "norm_l2", "grid_l2", "norm_h10", "seminorm_hs",
     "coefficient_h1_seminorm", "weighted_l2_sq",
@@ -97,26 +97,19 @@ class ScalarField:
         return full
 
 
-@dataclass(frozen=True)
-class GradientField:
-    """Face-centered directional differences of a ScalarField.
+def gradient(u: ScalarField) -> tuple:
+    """Divided differences of adjacent nodal values with spacing h, one
+    face-centered component per axis.
 
     dim 1: one component of shape (N,), living at cell midpoints.
     dim 2: components (gx, gy) of shapes (N, N+1) and (N+1, N); gx[i, j]
-    sits between nodes (i, j) and (i+1, j), spacing h.
+    sits between nodes (i, j) and (i+1, j).
     """
-
-    mesh: Mesh
-    components: tuple
-
-
-def gradient(u: ScalarField) -> GradientField:
-    """Divided differences of adjacent nodal values with spacing h."""
     full = u.padded()
     components = tuple(np.diff(full, axis=k) for k in range(u.mesh.dim))
     for g in components:
         g /= u.mesh.h  # in place: no second array per component
-    return GradientField(u.mesh, components)
+    return components
 
 
 def corner_average(values: np.ndarray, axes=None) -> np.ndarray:

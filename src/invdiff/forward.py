@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class RightHandSide:
 
     @staticmethod
     def point_mass(mesh: Mesh, location: float, weight: float) -> "RightHandSide":
-        return RightHandSide(mesh, np.broadcast_to(0.0, mesh.cell_shape),
-                             point_masses=((location, weight),))
+        return replace(RightHandSide.constant(mesh, 0.0),
+                       point_masses=((location, weight),))
 
     @functools.cached_property
     def antiderivative(self) -> np.ndarray:

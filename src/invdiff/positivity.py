@@ -15,7 +15,7 @@ from .field import (CoefficientField, ScalarField, FieldArgumentError,
 from .forward import RightHandSide
 
 __all__ = ["WeightField", "PositivityFit", "DegenerateFitError",
-           "compute_weight", "fit_pc_beta", "check_pc"]
+           "compute_weight", "power_law_fit", "fit_pc_beta", "check_pc"]
 
 
 class DegenerateFitError(NumericalError, ValueError):
@@ -65,7 +65,7 @@ def _interpolate_gradient_sq_to_cells(u: ScalarField) -> np.ndarray:
     # along every other axis
     return functools.reduce(np.add, (
         corner_average(g, [j for j in range(dim) if j != k]) ** 2
-        for k, g in enumerate(gradient(u).components)))
+        for k, g in enumerate(gradient(u))))
 
 
 def compute_weight(a: CoefficientField, u: ScalarField,
@@ -88,10 +88,13 @@ def compute_weight(a: CoefficientField, u: ScalarField,
     return WeightField(mesh, w)
 
 
-def _loglog_fit(log_x: np.ndarray, log_y: np.ndarray):
-    """Least-squares line log_y ~ slope * log_x + intercept; returns
-    (slope, intercept, r2), with r2 = 1 for a constant log_y, and
-    (nan, nan, 0.0) when log_x has too little spread to fix a slope."""
+def power_law_fit(log_x: np.ndarray, log_y: np.ndarray):
+    """Least-squares line log_y ~ slope * log_x + log(constant); returns
+    (slope, constant, r2), with r2 = 1 for a constant log_y, and
+    (nan, nan, 0.0) when log_x has too little spread to fix a slope. A
+    constant too large for a float is inf, with no warning."""
+    if not np.any(log_x):  # polyfit would scale by a zero column norm
+        return float("nan"), float("nan"), 0.0
     (slope, intercept), _, rank, _, _ = np.polyfit(log_x, log_y, 1, full=True)
     if rank < 2:
         return float("nan"), float("nan"), 0.0
@@ -99,7 +102,9 @@ def _loglog_fit(log_x: np.ndarray, log_y: np.ndarray):
     ss_res = float(np.sum((log_y - pred) ** 2))
     ss_tot = float(np.sum((log_y - log_y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return slope, intercept, r2
+    with np.errstate(over="ignore"):
+        constant = float(np.exp(intercept))
+    return float(slope), constant, r2
 
 
 def fit_pc_beta(w: WeightField, n_bins: int) -> PositivityFit:
@@ -107,9 +112,9 @@ def fit_pc_beta(w: WeightField, n_bins: int) -> PositivityFit:
 
     Cells are binned by log dist into n_bins log-spaced bins over
     [h, max dist] (the first boundary layer dist < h is dropped); each bin
-    with at least 5 cells contributes its minimal-w cell as an envelope
-    point, and a least-squares line on (log dist, log w_min) gives
-    slope beta_hat and exp(intercept) c_hat.
+    with at least 5 cells contributes its first minimal-w cell as an
+    envelope point, unless that w is <= 0, and power_law_fit on
+    (log dist, log w_min) gives beta_hat and c_hat.
     """
     if n_bins < 4:
         raise FieldArgumentError(f"n_bins must be >= 4, got {n_bins}")
@@ -125,28 +130,19 @@ def fit_pc_beta(w: WeightField, n_bins: int) -> PositivityFit:
     edges = np.geomspace(h, dmax, n_bins + 1)
     edges[-1] = np.nextafter(edges[-1], np.inf)  # keep the farthest cell inside
     which = np.digitize(dist, edges)  # 0 in the dropped layer, else bin + 1
-    # cells by bin, and by cell within a bin: each bin is one run, whose
-    # first minimum is the bin's first minimal cell, so every cell is
-    # looked at once however many bins there are
-    order = np.argsort(which, kind="stable")
-    bounds = np.searchsorted(which[order], np.arange(1, n_bins + 2))
-    runs = vals[order]
-    log_d, log_w = [], []
-    for b in np.flatnonzero(np.diff(bounds) >= 5):
-        start, stop = bounds[b], bounds[b + 1]
-        k = order[start + np.argmin(runs[start:stop])]
-        if vals[k] <= 0:
-            continue
-        log_d.append(np.log(dist[k]))
-        log_w.append(np.log(vals[k]))
-    if len(log_d) < 2:
+    # cells by bin, then by weight; the sort is stable, so the first cell
+    # of each bin's run is its first minimal cell in cell order
+    order = np.lexsort((vals, which))
+    starts = np.searchsorted(which[order], np.arange(1, n_bins + 2))
+    k = order[starts[:-1][np.diff(starts) >= 5]]
+    k = k[vals[k] > 0]
+    if len(k) < 2:
         raise DegenerateFitError(
-            f"only {len(log_d)} usable envelope bins out of {n_bins}")
-    log_d = np.asarray(log_d)
-    log_w = np.asarray(log_w)
-    beta, intercept, r2 = _loglog_fit(log_d, log_w)
-    return PositivityFit(c_hat=float(np.exp(intercept)), beta_hat=float(beta),
-                         n_bins=n_bins, r2=r2, log_dist=log_d, log_wmin=log_w)
+            f"only {len(k)} usable envelope bins out of {n_bins}")
+    log_d, log_w = np.log(dist[k]), np.log(vals[k])
+    beta, c_hat, r2 = power_law_fit(log_d, log_w)
+    return PositivityFit(c_hat=c_hat, beta_hat=beta, n_bins=n_bins, r2=r2,
+                         log_dist=log_d, log_wmin=log_w)
 
 
 def check_pc(w: WeightField, c: float, beta: float):

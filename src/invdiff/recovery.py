@@ -140,7 +140,7 @@ def recover_pwc(u: ScalarField, f: RightHandSide, partition: Partition,
     num = hd * np.einsum(contract, blocks(np.ascontiguousarray(f.values)), phi_cells)
     den = np.zeros(num.shape)
     grad_sq = np.zeros(num.shape)
-    for k, g_u in enumerate(gradient(u).components):
+    for k, g_u in enumerate(gradient(u)):
         g_blocks = blocks(g_u)
         den += np.einsum(contract, g_blocks, g_phi[k])
         # ||grad u||_{L2(Q)} counts the faces strictly inside Q: across each

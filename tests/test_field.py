@@ -245,14 +245,14 @@ class TestGradient:
     def test_1d_divided_differences(self):
         mesh = Mesh(1, 4)
         u = ScalarField(mesh, np.array([1.0, 3.0, 2.0]))
-        g = gradient(u).components[0]
+        g = gradient(u)[0]
         assert np.allclose(g, [4.0, 8.0, -4.0, -8.0])
 
     def test_2d_shapes(self):
         mesh = Mesh(2, 8)
         g = gradient(ScalarField(mesh, np.ones(mesh.node_shape)))
-        assert g.components[0].shape == (8, 9)
-        assert g.components[1].shape == (9, 8)
+        assert g[0].shape == (8, 9)
+        assert g[1].shape == (9, 8)
 
     def test_coefficient_h1_seminorm_linear(self):
         mesh = Mesh(1, 256)

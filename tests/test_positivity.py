@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
                            FieldInvariantError)
 from invdiff.forward import RightHandSide, solve_1d, solve_fd_2d
 from invdiff.positivity import (WeightField, compute_weight, fit_pc_beta,
-                                check_pc, DegenerateFitError)
+                                power_law_fit, check_pc, DegenerateFitError)
 
 
 def torsion_weight(dim, n, tol=1e-10):
@@ -156,6 +158,18 @@ class TestFitPcBeta:
         with pytest.raises(FieldArgumentError):
             fit_pc_beta(WeightField(mesh, np.ones(64)), 3)
 
+    def test_overflowing_constant_is_inf(self):
+        # tiny weights near the boundary and huge ones inside fit a slope
+        # near 850, whose constant exp(intercept) is beyond a float
+        mesh = Mesh(1, 64)
+        d = mesh.boundary_distances()
+        w = WeightField(mesh, np.where(d < 0.1, 1e-300, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_pc_beta(w, 4)
+        assert fit.c_hat == np.inf
+        assert fit.beta_hat > 100
+
     def test_clipped_copy(self):
         mesh = Mesh(1, 4096)
         x = mesh.cell_centers_1d()
@@ -164,6 +178,25 @@ class TestFitPcBeta:
         fit = fit_pc_beta(w, 8)
         assert fit.beta_hat < 0
         assert fit.beta_hat_clipped == 0.0
+
+
+class TestPowerLawFit:
+    def test_exact_power_law(self):
+        x = np.array([1.0, 2.0, 4.0, 8.0])
+        slope, constant, r2 = power_law_fit(np.log(x), np.log(3.0 * x ** 1.5))
+        assert slope == pytest.approx(1.5, rel=1e-12)
+        assert constant == pytest.approx(3.0, rel=1e-12)
+        assert r2 == pytest.approx(1.0, abs=1e-12)
+        assert all(type(v) is float for v in (slope, constant, r2))
+
+    def test_constant_log_y_has_r2_one(self):
+        assert power_law_fit(np.log([1.0, 2.0, 4.0]), np.zeros(3)) == (0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("log_x", [np.full(3, 0.5), np.zeros(3)],
+                             ids=["constant", "zero"])
+    def test_rank_deficient_is_nan(self, log_x):
+        slope, constant, r2 = power_law_fit(log_x, np.arange(3.0))
+        assert np.isnan(slope) and np.isnan(constant) and r2 == 0.0
 
 
 class TestCheckPc:

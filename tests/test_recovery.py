@@ -45,12 +45,12 @@ def reference_recover_pwc(u, f, partition, bounds=None, eps_den=1e-8):
         g_phi = gradient(ScalarField(mesh, interior))
         num = hd * float(np.sum(f.values * phi_cells))
         den = hd * sum(float(np.sum(cu * cp))
-                       for cu, cp in zip(g_u.components, g_phi.components))
+                       for cu, cp in zip(g_u, g_phi))
         # ||grad u||_{L2(Q)} over the faces strictly inside Q
         if mesh.dim == 1:
-            sq = np.sum(g_u.components[0][q * m:(q + 1) * m] ** 2)
+            sq = np.sum(g_u[0][q * m:(q + 1) * m] ** 2)
         else:
-            gx, gy = g_u.components
+            gx, gy = g_u
             q1, q2 = q // partition.n, q % partition.n
             sx = slice(q1 * m, (q1 + 1) * m)
             sy = slice(q2 * m, (q2 + 1) * m)
