@@ -5,11 +5,10 @@ empirical Hoelder-stability measurement."""
 
 __version__ = "0.1.0"
 
-from .mesh import (Mesh, Partition, boundary_distance, region_split,
-                   InputError, NumericalError)
+from .mesh import Mesh, Partition, InputError, NumericalError
 from .field import (
     CoefficientField, ScalarField,
-    gradient, norm_l2, norm_h10, seminorm_hs,
+    gradient, norm_h10,
     coefficient_h1_seminorm, weighted_l2_sq,
     write_field_csv, read_field_csv,
 )

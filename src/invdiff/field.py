@@ -1,11 +1,10 @@
 # Coefficient and scalar fields on a mesh, their face gradients, and the
-# norms used by the stability estimates: L2, the H1_0 seminorm, the
-# Gagliardo H^s seminorm, and the weighted L2 functional.
+# norms used by the stability estimates: L2, the H1_0 seminorm and the
+# weighted L2 functional.
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ from .mesh import Mesh, InputError
 __all__ = [
     "CoefficientField", "ScalarField",
     "FieldArgumentError", "FieldInvariantError", "checked_values", "same_mesh",
-    "gradient", "corner_average", "norm_l2", "grid_l2", "norm_h10", "seminorm_hs",
+    "gradient", "corner_average", "grid_l2", "norm_h10",
     "coefficient_h1_seminorm", "weighted_l2_sq",
     "write_csv", "write_field_csv", "read_field_csv",
 ]
@@ -134,11 +133,6 @@ def grid_l2(mesh: Mesh, values: np.ndarray) -> float:
     return float(np.sqrt(mesh.h ** mesh.dim * np.sum(v * v)))
 
 
-def norm_l2(field) -> float:
-    """Grid L2 norm of a coefficient (cells) or scalar (nodes) field."""
-    return grid_l2(field.mesh, field.values)
-
-
 def _difference_norm(mesh: Mesh, values: np.ndarray) -> float:
     """sqrt(h^d * sum of the squared divided differences along every axis)."""
     total = 0.0
@@ -156,33 +150,6 @@ def norm_h10(u: ScalarField) -> float:
 def coefficient_h1_seminorm(a) -> float:
     """Discrete ||grad a||_{L2} of a cell field via adjacent-cell differences."""
     return _difference_norm(a.mesh, np.asarray(a.values, dtype=float))
-
-
-def seminorm_hs(a: CoefficientField, s: float) -> float:
-    """Gagliardo H^s seminorm by double sum over cell centers.
-
-    Quadrature excludes the diagonal x = y. Used for scaling/boundedness
-    classification only; no equivalence constants are claimed. Centers p
-    and q lie h|o| apart for the lattice offset o = q - p, so the sum runs
-    over the offsets o > 0 (lexicographically, each unordered pair once),
-    each a difference of two overlapping slices: O(N^d) memory and O(N^2d)
-    time, so dim 2 requires N <= 128.
-    """
-    if not 0 < s < 1:
-        raise FieldArgumentError(f"s must be in (0,1), got {s}")
-    mesh = a.mesh
-    if mesh.dim == 2 and mesh.n > 128:
-        raise FieldArgumentError("dim-2 Gagliardo sum limited to N <= 128")
-    n, exponent = mesh.n, mesh.dim + 2 * s
-    total = 0.0
-    for o in itertools.product(range(1 - n, n), repeat=mesh.dim):
-        if o <= (0,) * mesh.dim:
-            continue
-        lo = tuple(slice(max(-k, 0), n - max(k, 0)) for k in o)
-        hi = tuple(slice(max(k, 0), n - max(-k, 0)) for k in o)
-        da = a.values[lo] - a.values[hi]
-        total += float(np.sum(da * da)) / sum(k * k for k in o) ** (exponent / 2)
-    return math.sqrt(2.0 * total * mesh.h ** (mesh.dim - 2 * s))
 
 
 def weighted_l2_sq(mesh: Mesh, ratio_sq: np.ndarray, w: np.ndarray) -> float:

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh", "Partition", "boundary_distance", "region_split",
-           "InputError", "NumericalError"]
+__all__ = ["Mesh", "Partition", "InputError", "NumericalError"]
 
 
 # cells per mesh: 2**27 float64 values are 1 GiB, for each array of a solve
@@ -80,34 +79,6 @@ class Mesh:
         x = self.cell_centers_1d()
         axis_dist = np.minimum(x, 1.0 - x)
         return functools.reduce(np.minimum.outer, [axis_dist] * self.dim)
-
-
-def boundary_distance(mesh: Mesh, cell) -> float:
-    """Distance from the center of one cell to the boundary of (0,1)^d.
-
-    cell is an int for dim 1 and an (i, j) pair for dim 2.
-    """
-    idx = np.atleast_1d(np.asarray(cell, dtype=np.int64))
-    if idx.shape != (mesh.dim,):
-        raise MeshArgumentError(
-            f"cell index {cell!r} does not match mesh dim {mesh.dim}")
-    if np.any(idx < 0) or np.any(idx >= mesh.n):
-        raise MeshArgumentError(f"cell index {cell!r} out of range for N={mesh.n}")
-    x = (idx + 0.5) * mesh.h
-    return float(np.min(np.minimum(x, 1.0 - x)))
-
-
-def region_split(mesh: Mesh, rho: float):
-    """Split cells into (dist >= rho, dist < rho) boolean masks.
-
-    The first mask is the discrete D_rho, the second its complement; the
-    complement's measure behaves like count*h^d <= 2*d*rho + O(h).
-    """
-    if rho < 0:
-        raise MeshArgumentError(f"rho must be >= 0, got {rho}")
-    dist = mesh.boundary_distances()
-    far = dist >= rho
-    return far, ~far
 
 
 @dataclass(frozen=True)

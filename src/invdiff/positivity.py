@@ -49,10 +49,6 @@ class PositivityFit:
     log_dist: np.ndarray
     log_wmin: np.ndarray
 
-    @property
-    def beta_hat_clipped(self) -> float:
-        return max(self.beta_hat, 0.0)
-
     def to_json_dict(self) -> dict:
         return {"c_hat": self.c_hat, "beta_hat": self.beta_hat,
                 "r2": self.r2, "n_bins": self.n_bins}

@@ -57,10 +57,6 @@ class Recovery1D:
     w_excl: float
     n_clamped: int  # cells whose quotient fell outside [lam, Lam]
 
-    @property
-    def excluded_window(self):
-        return (self.gamma_hat - self.w_excl, self.gamma_hat + self.w_excl)
-
     def to_json_dict(self) -> dict:
         return {"gamma_hat": self.gamma_hat, "w_excl": self.w_excl}
 

@@ -11,7 +11,7 @@ from invdiff.mesh import Mesh, Partition
 from invdiff.field import (CoefficientField, ScalarField, grid_l2, norm_h10,
                            write_field_csv)
 from invdiff.forward import RightHandSide, solve_1d, solve_fd_2d, series_cube
-from invdiff.positivity import compute_weight, fit_pc_beta, check_pc
+from invdiff.positivity import compute_weight, fit_pc_beta, check_pc, power_law_fit
 from invdiff.mollify import MollifierSpec, mollify, approximation_functional
 from invdiff.recovery import recover_pwc, recover_1d
 from invdiff.experiments import (coefficient_family, stability_scan,
@@ -121,6 +121,65 @@ def test_pc_two_minorization_diagnostic(torsion_solutions):
     print(f"ACCEPTANCE 4b-diagnostic: quadratic minorization holds={holds} "
           f"(min w/dist^2 = {worst:.4f})")
     assert holds
+
+
+# The README's account of the red criterion 4b, checked: the corner term
+# of the solution, where the envelope points sit, and how the full-range
+# slope drifts with N while the log^2-corrected slope stays in the window.
+
+@pytest.fixture(scope="module")
+def torsion_512():
+    return torsion_2d(512)
+
+
+@pytest.fixture(scope="module")
+def torsion_fits(torsion_solutions, torsion_512):
+    """Weight and 12-bin envelope fit of the 2D torsion at N = 128, 256, 512."""
+    fits = {}
+    for n, (_, a, f, u) in [*torsion_solutions.items(), (512, torsion_512)]:
+        w = compute_weight(a, u, f)
+        fits[n] = w, fit_pc_beta(w, 12)
+    return fits
+
+
+def test_4b_corner_term_on_diagonal(torsion_solutions, torsion_512):
+    # pi u / (r^2 ln(1/r)) at the diagonal node (k, k), r = sqrt(2) k h,
+    # falls toward 1 as r shrinks, alike at N = 256 and N = 512
+    ratios = {}
+    for n, (mesh, _, _, u) in [(256, torsion_solutions[256]), (512, torsion_512)]:
+        k = np.array([n // 64, n // 32, n // 16, n // 8])
+        r = np.sqrt(2) * k * mesh.h
+        ratios[n] = np.pi * u.values[k - 1, k - 1] / (r ** 2 * np.log(1 / r))
+    assert np.all((1.0 < ratios[512]) & (ratios[512] < 1.07))
+    assert np.all(np.diff(ratios[512]) > 0)
+    assert np.max(np.abs(ratios[256] - ratios[512])) < 1e-3
+
+
+def test_4b_envelope_on_corner_diagonals(torsion_fits):
+    # corner distance / boundary distance is sqrt 2 on a diagonal only
+    for n in (128, 256):
+        w, fit = torsion_fits[n]
+        dist = w.mesh.boundary_distances()
+        x = w.mesh.cell_centers_1d()
+        axis_dist = np.minimum(x, 1 - x)
+        corner = np.hypot.outer(axis_dist, axis_dist)
+        for log_d, log_w in zip(fit.log_dist, fit.log_wmin):
+            cells = (np.log(dist) == log_d) & (np.log(w.values) == log_w)
+            assert cells.any()
+            assert np.allclose(corner[cells] / dist[cells], np.sqrt(2))
+
+
+def test_4b_full_range_slope_rises_with_n(torsion_fits):
+    slopes = [torsion_fits[n][1].beta_hat for n in (128, 256, 512)]
+    assert np.all(np.diff(slopes) > 0)
+
+
+def test_4b_log_squared_corrected_slope_in_window(torsion_fits):
+    # w ~ dist^2 log^2(1/dist) at the corners: fit log w - 2 log log(1/dist)
+    for _, fit in torsion_fits.values():
+        corrected = fit.log_wmin - 2 * np.log(-fit.log_dist)
+        slope = power_law_fit(fit.log_dist, corrected)[0]
+        assert 1.6 <= slope <= 2.2
 
 
 def test_criterion_5_mollification_scaling():

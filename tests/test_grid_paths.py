@@ -1,11 +1,9 @@
 """Grid operations have one path for dims 1 and 2. The reference_* functions
 keep the earlier per-dimension bodies, and every test asserts that the single
 path gives the same arrays (shape, dtype and bits) and the same floats; the
-Gagliardo sum and the cube series, whose summation order changed, agree to
-1e-13 relative."""
+cube series, whose summation order changed, agrees to 1e-13 relative."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from invdiff import experiments, forward
 from invdiff.mesh import Mesh, Partition
 from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
                            corner_average, gradient, norm_h10,
-                           coefficient_h1_seminorm, seminorm_hs)
+                           coefficient_h1_seminorm)
 from invdiff.forward import (RightHandSide, SolveReport, load_functional,
                              energy_form, face_coefficients, series_cube,
                              solve_1d, _antiderivative_at_centers)
@@ -257,32 +255,6 @@ def reference_energy_form(a, u, v):
     return float(total)
 
 
-def reference_seminorm_hs(a, s):
-    mesh = a.mesh
-    h = mesh.h
-    exponent = mesh.dim + 2 * s
-    if mesh.dim == 1:
-        x = mesh.cell_centers_1d()
-        dx = np.abs(x[:, None] - x[None, :])
-        da = a.values[:, None] - a.values[None, :]
-        np.fill_diagonal(dx, 1.0)
-        total = np.sum(da * da / dx ** exponent)
-        return float(np.sqrt(total * h ** 2))
-    x = mesh.cell_centers_1d()
-    xs = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
-    vals = a.values.reshape(-1)
-    total = 0.0
-    chunk = 1024
-    for start in range(0, len(vals), chunk):
-        stop = min(start + chunk, len(vals))
-        diff = xs[start:stop, None, :] - xs[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
-        da = vals[start:stop, None] - vals[None, :]
-        mask = r > 0
-        total += np.sum(da[mask] ** 2 / r[mask] ** exponent)
-    return float(np.sqrt(total * h ** 4))
-
-
 def reference_series_cube(pt, n_max, d):
     odd = np.arange(1, n_max + 1, 2, dtype=float)
     if d == 1:
@@ -341,31 +313,6 @@ def test_energy_form(dim, n):
         u.mesh.node_shape))
     assert energy_form(a, u, v) == reference_energy_form(a, u, v)
     assert energy_form(a, u, u) == reference_energy_form(a, u, u)
-
-
-GAGLIARDO_MESHES = [(1, n) for n in NS + (257,)] + [(2, n) for n in NS[:4] + (16,)]
-
-
-@pytest.mark.parametrize("dim, n", GAGLIARDO_MESHES)
-@pytest.mark.parametrize("s", (0.05, 0.5, 0.95))
-def test_seminorm_hs(dim, n, s):
-    a, _, _ = random_fields(dim, n)
-    assert seminorm_hs(a, s) == pytest.approx(reference_seminorm_hs(a, s),
-                                              rel=1e-13)
-    flat = CoefficientField.constant(a.mesh, 1.3, 0.5, 2.0)
-    assert seminorm_hs(flat, s) == reference_seminorm_hs(flat, s) == 0.0
-
-
-def test_seminorm_hs_memory_is_linear_in_cells():
-    # the dense 1D sum held three N x N arrays: ~400 MiB at N = 4096
-    a, _, _ = random_fields(1, 4096)
-    tracemalloc.start()
-    try:
-        seminorm_hs(a, 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("d", (1, 2))

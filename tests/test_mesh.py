@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from invdiff.mesh import (Mesh, Partition, boundary_distance, region_split,
-                          MeshArgumentError)
+from invdiff.mesh import Mesh, Partition, MeshArgumentError
 from invdiff.mesh import MAX_CELLS
 
 
@@ -30,20 +29,11 @@ def test_mesh_cell_limit():
 
 def test_boundary_distance_examples():
     # cell (0,1) has center (0.125, 0.375)
-    assert boundary_distance(Mesh(2, 4), (0, 1)) == pytest.approx(0.125)
+    assert Mesh(2, 4).boundary_distances()[0, 1] == pytest.approx(0.125)
     # cell 1 of a 2-cell interval has center 0.75
-    assert boundary_distance(Mesh(1, 2), 1) == pytest.approx(0.25)
+    assert Mesh(1, 2).boundary_distances()[1] == pytest.approx(0.25)
     # center (0.5625, 0.5625): min-formula gives 0.4375
-    assert boundary_distance(Mesh(2, 8), (4, 4)) == pytest.approx(0.4375)
-
-
-def test_boundary_distance_bad_index():
-    with pytest.raises(MeshArgumentError):
-        boundary_distance(Mesh(1, 4), 4)
-    with pytest.raises(MeshArgumentError):
-        boundary_distance(Mesh(2, 4), (1, -1))
-    with pytest.raises(MeshArgumentError):
-        boundary_distance(Mesh(2, 4), 1)
+    assert Mesh(2, 8).boundary_distances()[4, 4] == pytest.approx(0.4375)
 
 
 def test_boundary_distance_reflection_symmetric():
@@ -52,35 +42,6 @@ def test_boundary_distance_reflection_symmetric():
     assert np.array_equal(dist, dist[::-1, :])
     assert np.array_equal(dist, dist[:, ::-1])
     assert np.array_equal(dist, dist.T)
-
-
-def test_region_split_examples():
-    mesh = Mesh(1, 10)
-    far, near = region_split(mesh, 0.0)
-    assert far.all() and not near.any()
-
-    far, near = region_split(mesh, 0.2)
-    assert near.sum() == 4  # centers 0.05, 0.15, 0.85, 0.95
-
-    far, near = region_split(Mesh(2, 4), 0.3)
-    assert far.sum() == 4
-
-
-def test_region_split_nesting_and_measure():
-    mesh = Mesh(2, 32)
-    prev = None
-    for rho in (0.05, 0.1, 0.2, 0.4):
-        far, near = region_split(mesh, rho)
-        if prev is not None:
-            assert np.all(far <= prev)  # D_rho2 subset of D_rho1
-        prev = far
-        measure = near.sum() * mesh.h ** 2
-        assert measure <= 2 * mesh.dim * rho + 4 * mesh.h
-
-
-def test_region_split_negative_rho():
-    with pytest.raises(MeshArgumentError):
-        region_split(Mesh(1, 4), -0.1)
 
 
 def test_partition_counts():

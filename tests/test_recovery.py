@@ -371,8 +371,6 @@ class TestRecover1d:
         u, _, _ = solve_1d(a, f)
         rec = recover_1d(u, f, w_excl=0.03, lam=1.2, Lam=1.8)
         assert rec.values.min() >= 1.2 and rec.values.max() <= 1.8
-        lo, hi = rec.excluded_window
-        assert hi - lo == pytest.approx(2 * 0.03)
         assert rec.to_json_dict() == {"gamma_hat": rec.gamma_hat,
                                       "w_excl": 0.03}
 

@@ -22,6 +22,22 @@ def private_imports(path: Path) -> list:
     return found
 
 
+def unused_imports(path: Path) -> list:
+    """(line, name) of each name that `path` imports and never uses."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # `import a.b` binds `a`
+            imported += [(node.lineno, (alias.asname or alias.name).split(".")[0])
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, alias.asname or alias.name)
+                         for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
 def test_sources_found():
     assert len(SOURCES) >= 9
 
@@ -37,3 +53,22 @@ def test_rule_sees_a_private_import(tmp_path):
                       "                         _loglog_fit)\n"
                       "from . import __version__\n")
     assert private_imports(source) == [(1, "positivity", "_loglog_fit")]
+
+
+# __init__.py imports only to re-export
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(path) == []
+
+
+def test_rule_sees_an_unused_import(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("from __future__ import annotations\n"
+                      "import itertools\n"
+                      "import os.path\n"
+                      "import numpy as np\n"
+                      "from .mesh import Mesh, InputError as Bad\n"
+                      "def f(x: Mesh):\n"
+                      "    return np.sqrt(os.path.getsize(x))\n")
+    assert unused_imports(source) == [(2, "itertools"), (5, "Bad")]
