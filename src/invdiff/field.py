@@ -15,7 +15,7 @@ from .mesh import Mesh, InputError
 __all__ = [
     "CoefficientField", "ScalarField",
     "FieldArgumentError", "FieldInvariantError", "checked_values", "same_mesh",
-    "gradient", "corner_average", "grid_l2", "norm_h10",
+    "face_gradient", "gradient", "corner_average", "grid_l2", "norm_h10",
     "coefficient_h1_seminorm", "weighted_l2_sq",
     "write_csv", "write_field_csv", "read_field_csv",
 ]
@@ -96,6 +96,27 @@ class ScalarField:
         return full
 
 
+def face_gradient(u: ScalarField, k: int) -> np.ndarray:
+    """Component k of gradient(u), built from u.values with no padded copy:
+    bit for bit np.diff(u.padded(), axis=k) / h, signed zeros included."""
+    dim, n = u.mesh.dim, u.mesh.n
+    g = np.zeros(tuple(n if ax == k else n + 1 for ax in range(dim)))
+    # the face lines on the boundary across the other axes stay zero
+    inner = g[tuple(slice(None) if ax == k else slice(1, n) for ax in range(dim))]
+
+    def along(s):
+        return (slice(None),) * k + (s,)
+
+    v = u.values
+    inner[along(slice(0, 1))] = v[along(slice(0, 1))]
+    np.subtract(v[along(slice(1, None))], v[along(slice(None, -1))],
+                out=inner[along(slice(1, n - 1))])
+    # 0 - v rather than -v, as np.diff takes it: +0.0 where v is +0.0
+    np.subtract(0.0, v[along(slice(n - 2, None))], out=inner[along(slice(n - 1, None))])
+    g /= u.mesh.h
+    return g
+
+
 def gradient(u: ScalarField) -> tuple:
     """Divided differences of adjacent nodal values with spacing h, one
     face-centered component per axis.
@@ -104,11 +125,7 @@ def gradient(u: ScalarField) -> tuple:
     dim 2: components (gx, gy) of shapes (N, N+1) and (N+1, N); gx[i, j]
     sits between nodes (i, j) and (i+1, j).
     """
-    full = u.padded()
-    components = tuple(np.diff(full, axis=k) for k in range(u.mesh.dim))
-    for g in components:
-        g /= u.mesh.h  # in place: no second array per component
-    return components
+    return tuple(face_gradient(u, k) for k in range(u.mesh.dim))
 
 
 def corner_average(values: np.ndarray, axes=None) -> np.ndarray:
@@ -335,6 +352,10 @@ def write_csv(path, header: str, columns) -> None:
 # interior lattice indices 1..N-1 (position = index * h).
 
 _FIELD_HEADERS = {1: "index,value", 2: "i,j,value"}
+# rows per scatter into the read field: numpy casts narrow index columns to
+# intp in buffers of up to np.getbufsize() entries each, 128 KiB for a 2D
+# field in one scatter and 32 KiB in scatters of this many rows
+_SCATTER_ROWS = 2048
 
 
 def _index_range(mesh: Mesh, location: str):
@@ -356,6 +377,35 @@ def write_field_csv(path, mesh: Mesh, values: np.ndarray, location: str = "cells
     write_csv(path, _FIELD_HEADERS[mesh.dim], [*index, values.ravel()])
 
 
+def _field_row_type(dim: int, index_type) -> list:
+    return [(f"i{k}", index_type) for k in range(dim)] + [("value", np.float64)]
+
+
+def _load_field_rows(path, dim: int, index_type) -> np.ndarray:
+    return np.loadtxt(path, dtype=_field_row_type(dim, index_type), delimiter=",",
+                      comments=None, skiprows=1, ndmin=1)
+
+
+def _placed_rows(rows, lo: int, hi: int, shape):
+    """The field that rows give, or None if they do not give one. min and
+    max check the columns and the values, and the rows go straight into
+    out, the only array made; a NaN left in out marks a position no row
+    reached, so, with one row per position, another came twice."""
+    cols = [rows[f"i{k}"] for k in range(len(shape))]
+    values = rows["value"]
+    if not (len(values) == math.prod(shape)
+            and all(lo <= c.min() and c.max() < hi for c in cols)
+            and np.isfinite(values.min()) and np.isfinite(values.max())):
+        return None
+    for c in cols:
+        c -= lo
+    out = np.full(shape, np.nan)
+    for start in range(0, len(values), _SCATTER_ROWS):
+        part = slice(start, start + _SCATTER_ROWS)
+        out[tuple(c[part] for c in cols)] = values[part]
+    return None if np.isnan(out.min()) else out
+
+
 def read_field_csv(path, mesh: Mesh, location: str = "cells") -> np.ndarray:
     """Read a field CSV written by write_field_csv; rows may come in any
     order and blank lines are skipped, but every position of the declared
@@ -373,31 +423,29 @@ def read_field_csv(path, mesh: Mesh, location: str = "cells") -> np.ndarray:
     except UnicodeDecodeError as exc:
         raise FieldArgumentError(
             f"field CSV {path} is not UTF-8 text: {exc}") from None
-    dtype = [(f"i{k}", np.int64) for k in range(mesh.dim)] + [("value", np.float64)]
-    rows = np.empty(0, dtype)
     if has_rows:
+        # the success path parses the indices as the narrowest type that
+        # holds -hi (int16 for any 2D mesh under MAX_CELLS), a table of
+        # 10-12 bytes a row instead of 24; an index beyond that type raises
+        # ValueError rather than wrapping
         try:
-            rows = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
-                              skiprows=1, ndmin=1)
+            rows = _load_field_rows(path, mesh.dim, np.min_scalar_type(-hi))
+        except ValueError:
+            pass
+        else:
+            out = _placed_rows(rows, lo, hi, shape)
+            if out is not None:
+                return out
+        # a parse error or a failed check: the int64 table names the first
+        # fault, where an index beyond the narrow type is out of range
+        try:
+            rows = _load_field_rows(path, mesh.dim, np.int64)
         except ValueError as exc:
             raise FieldArgumentError(f"malformed field CSV body: {exc}") from None
+    else:
+        rows = np.empty(0, _field_row_type(mesh.dim, np.int64))
     cols = [rows[f"i{k}"] for k in range(mesh.dim)]
     values = rows["value"]
-    # success path: min and max check the columns and the values, and the
-    # rows go straight into out, the only array made; a NaN left in out
-    # marks a position no row reached, so, with one row per position,
-    # another came twice
-    if (len(values) == math.prod(shape)
-            and all(lo <= c.min() and c.max() < hi for c in cols)
-            and np.isfinite(values.min()) and np.isfinite(values.max())):
-        for c in cols:
-            c -= lo
-        out = np.full(shape, np.nan)
-        out[tuple(cols)] = values
-        if not np.isnan(out.min()):
-            return out
-        for c in cols:
-            c += lo
     # a faulty file: name its first fault, in the order of the checks below
     idx = np.stack(cols)
     bad = np.flatnonzero(np.any((idx < lo) | (idx >= hi), axis=0))

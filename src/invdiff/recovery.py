@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh, Partition, NumericalError
-from .field import ScalarField, FieldArgumentError, gradient, same_mesh, write_csv
+from .field import ScalarField, FieldArgumentError, face_gradient, same_mesh, write_csv
 from .forward import RightHandSide
 from .mollify import bump_profile
 
@@ -136,14 +136,15 @@ def recover_pwc(u: ScalarField, f: RightHandSide, partition: Partition,
     num = hd * np.einsum(contract, blocks(np.ascontiguousarray(f.values)), phi_cells)
     den = np.zeros(num.shape)
     grad_sq = np.zeros(num.shape)
-    for k, g_u in enumerate(gradient(u)):
-        g_blocks = blocks(g_u)
+    for k in range(dim):
+        g_blocks = blocks(face_gradient(u, k))
         den += np.einsum(contract, g_blocks, g_phi[k])
         # ||grad u||_{L2(Q)} counts the faces strictly inside Q: across each
         # axis other than k, the first face line of the block is Q's edge
         inner = g_blocks[tuple(slice(None) if ax % 2 == 0 or ax // 2 == k
                                else slice(1, None) for ax in range(2 * dim))]
         grad_sq += np.einsum(square, inner, inner)
+        del g_blocks, inner  # one gradient component is resident at a time
     den = (hd * den).ravel()
     num = num.ravel()
     grad_local = np.sqrt(hd * grad_sq).ravel()
@@ -181,7 +182,7 @@ def recover_1d(u: ScalarField, f: RightHandSide, w_excl: float = None,
         raise FieldArgumentError(f"w_excl must be > 0, got {w_excl}")
     h = mesh.h
     x = mesh.cell_centers_1d()
-    du = np.diff(u.padded()) / h
+    du = face_gradient(u, 0)
     sign = np.sign(du)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if len(flips) == 0:

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from invdiff.mesh import Mesh, Partition
-from invdiff.field import (CoefficientField, ScalarField, grid_l2, norm_h10,
-                           write_field_csv)
+from invdiff.field import CoefficientField, ScalarField, grid_l2, norm_h10
 from invdiff.forward import RightHandSide, solve_1d, solve_fd_2d, series_cube
 from invdiff.positivity import compute_weight, fit_pc_beta, check_pc, power_law_fit
 from invdiff.mollify import MollifierSpec, mollify, approximation_functional

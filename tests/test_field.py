@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from invdiff.mesh import Mesh, Partition
 from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
-                           FieldInvariantError, gradient, norm_h10,
+                           FieldInvariantError, face_gradient, gradient, norm_h10,
                            grid_l2, coefficient_h1_seminorm,
                            weighted_l2_sq, write_field_csv, read_field_csv)
 from invdiff.forward import RightHandSide, solve_1d, solve_fd_2d
@@ -201,6 +201,24 @@ class TestGradient:
         assert g[0].shape == (8, 9)
         assert g[1].shape == (9, 8)
 
+    @pytest.mark.parametrize("dim,n", [(1, 2), (1, 3), (1, 16), (2, 2), (2, 3), (2, 16)])
+    def test_face_gradient_is_diff_of_padded(self, dim, n):
+        # bit for bit, signs of zero included: +0.0, then -0.0, on the nodes
+        # next to the boundary, where a face meets a boundary zero
+        mesh = Mesh(dim, n)
+        values = np.random.default_rng(n).standard_normal(mesh.node_shape)
+        edge = np.zeros(mesh.node_shape, dtype=bool)
+        for k in range(dim):
+            edge[(slice(None),) * k + ([0, -1],)] = True
+        for zero in (0.0, -0.0):
+            values[edge] = zero
+            u = ScalarField(mesh, values)
+            for k in range(dim):
+                new, ref = face_gradient(u, k), np.diff(u.padded(), axis=k) / mesh.h
+                assert new.shape == ref.shape
+                assert np.array_equal(new, ref)
+                assert np.array_equal(np.signbit(new), np.signbit(ref))
+
     def test_coefficient_h1_seminorm_linear(self):
         mesh = Mesh(1, 256)
         a = coeff(mesh, 1.0 + mesh.cell_centers_1d())
@@ -305,8 +323,9 @@ class TestFieldCsv:
             read_field_csv(path, Mesh(2, 3), "nodes")
 
     def test_peak_memory(self, tmp_path, traced_peak):
-        # beyond what np.loadtxt itself holds: the output array, which the
-        # rows are written into directly
+        # below what np.loadtxt holds with int64 indices: the narrow index
+        # table saves more than half the output array, which the rows are
+        # written into directly
         mesh = Mesh(2, 128)
         values = np.random.default_rng(4).standard_normal(mesh.node_shape)
         path = tmp_path / "u.csv"
@@ -316,7 +335,29 @@ class TestFieldCsv:
                               comments=None, skiprows=1, ndmin=1)
         back, peak = traced_peak(read_field_csv, path, mesh, "nodes")
         assert np.array_equal(back, values)
-        assert peak - bare <= 1.25 * back.nbytes
+        assert peak - bare <= -0.5 * back.nbytes
+
+    # an index the narrow index type cannot hold is named as an int64 one
+    @pytest.mark.parametrize("dim,n,row,message", [
+        (2, 3, "70000,1,0.5", "index (70000, 1)" + RANGE),
+        (2, 3, "1,-129,0.5", "index (1, -129)" + RANGE),
+        (1, 40000, "2147483648,1", "index (2147483648,) out of range [0,40000) "
+                                   "for declared mesh"),
+        (2, 3, "9223372036854775808,1,0.5",
+         "malformed field CSV body: could not convert string "
+         "'9223372036854775808' to int64 at row 0, column 1."),
+    ], ids=["above-int8", "below-int8", "above-int32", "above-int64"])
+    def test_index_beyond_narrow_type(self, tmp_path, dim, n, row, message):
+        mesh = Mesh(dim, n)
+        location, shape = (("nodes", mesh.node_shape) if dim == 2
+                           else ("cells", mesh.cell_shape))
+        path = tmp_path / "f.csv"
+        write_field_csv(path, mesh, np.ones(shape), location)
+        lines = path.read_text().splitlines()
+        lines[1] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FieldArgumentError, match=f"^{re.escape(message)}$"):
+            read_field_csv(path, mesh, location)
 
     def test_accepts_any_row_order_and_blank_lines(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from invdiff.mesh import Mesh, Partition
-from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
-                           norm_h10)
+from invdiff.field import CoefficientField, ScalarField, FieldArgumentError
 from invdiff.forward import (RightHandSide, SolveReport, SolverError,
                              solve_1d, solve_fd_2d, series_cube,
                              maximum_principle_check, face_coefficients,

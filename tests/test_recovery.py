@@ -192,11 +192,11 @@ class TestSubcubeBump:
 
 class TestRecoverPwc:
     def test_peak_memory(self, traced_peak):
-        # three (N+1)^2 arrays at most: the padded u and its two gradient
-        # components; the bump is held on one subcube's window only
+        # one (N+1)^2 array at most: one gradient component at a time, made
+        # with no padded copy of u; the bump is held on one subcube's window
         mesh, _, f, u = pwc_solution(2, 128, 4, seed=2)
         _, peak = traced_peak(recover_pwc, u, f, Partition(mesh, 8))
-        assert peak <= 3 * 129 ** 2 * 8 + traced_peak.overhead
+        assert peak <= 1 * 129 ** 2 * 8 + traced_peak.overhead
 
     def test_constant_coefficient_1d(self):
         mesh = Mesh(1, 128)

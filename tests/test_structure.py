@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "invdiff").glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def private_imports(path: Path) -> list:
@@ -56,8 +57,8 @@ def test_rule_sees_a_private_import(tmp_path):
 
 
 # __init__.py imports only to re-export
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"]
+                         + TESTS, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path) == []
 
