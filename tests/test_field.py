@@ -167,6 +167,28 @@ class TestNormH10:
                 assert h10 > 0
                 assert grid_l2(mesh, u.values) <= 1.0 * h10
 
+    @pytest.mark.parametrize("dim,n", [(1, 2), (1, 4097), (2, 2), (2, 3), (2, 128)])
+    def test_same_bits_as_padded_differences(self, dim, n):
+        mesh = Mesh(dim, n)
+        rng = np.random.default_rng([dim, n])
+        for scale in (1e-160, 1.0, 1e100):
+            u = ScalarField(mesh, scale * rng.standard_normal(mesh.node_shape))
+            padded = u.padded()
+            total = 0.0
+            for k in range(dim):
+                g = np.diff(padded, axis=k) / mesh.h
+                total += float(np.sum(g * g))
+            assert norm_h10(u) == float(np.sqrt(mesh.h ** dim * total))
+
+    def test_peak_memory(self, traced_peak):
+        # one face array alive at a time: the padded copy, a difference
+        # array and its square per axis made it 2.03 face arrays
+        mesh = Mesh(2, 128)
+        u = ScalarField(mesh, np.random.default_rng(0).standard_normal(
+            mesh.node_shape))
+        _, peak = traced_peak(norm_h10, u)
+        assert peak <= 128 * 129 * 8 + traced_peak.overhead
+
 
 class TestWeightedL2Sq:
     def test_zero_delta(self):

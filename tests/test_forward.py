@@ -180,7 +180,7 @@ class TestSolveFd2d:
         # the scratch array and the stencil's diag, ax and ay. A separate Ap
         # made it nine.
         _, a, f, _ = TestConstantRightSides.pairs(2, 128)
-        solve_fd_2d(a, f)  # imports scipy.fft and caches the eigenvalue table
+        solve_fd_2d(a, f)  # loads pocketfft and caches the eigenvalue table
         _, peak = traced_peak(solve_fd_2d, a, f)
         assert peak <= 8 * 127 ** 2 * 8 + traced_peak.overhead
 

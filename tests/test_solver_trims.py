@@ -1,19 +1,29 @@
 """The 2D solve holds fewer arrays than before: the inverse eigenvalue table
 is cached and shared, CG takes over the right side as its residual, and the
-stencil and the dots share one scratch array. The reference_* functions keep
-the earlier bodies, and every test asserts that the leaner solve gives the
-same iterate bits, iteration count and residual."""
+stencil and the dots share one scratch array. The sine transform comes from
+scipy's pocketfft extension, loaded without the scipy.fft package. The
+reference_* functions keep the earlier bodies on public scipy.fft, and every
+test asserts that the leaner solve gives the same iterate bits, iteration
+count and residual."""
 
+import importlib.machinery
 import math
+import os
+import re
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invdiff
 from invdiff.mesh import Mesh, Partition
 from invdiff.field import CoefficientField, corner_average
 from invdiff.forward import (RightHandSide, SolverError, face_coefficients,
-                             solve_fd_2d, _inverse_eigenvalues, _five_point)
+                             solve_fd_2d, _inverse_eigenvalues, _five_point,
+                             _pocketfft)
 
 NS = (3, 8, 33, 128)
 
@@ -174,3 +184,52 @@ def test_threaded_solves_match_sequential_bits(n):
     for (u, report), (v, other) in zip(sequential, threaded):
         assert np.array_equal(u.values, v.values)
         assert report == other
+
+
+@pytest.mark.parametrize("n", list(range(2, 41)) + [127, 128, 511, 512])
+def test_pocketfft_matches_public_dstn_bits(n):
+    import scipy.fft
+
+    pfft = _pocketfft()
+    assert _pocketfft() is pfft
+    x = np.random.default_rng(n).standard_normal((n, n))
+    # inorm 0 and 2 are scipy.fft's "backward" norm, forward and inverse;
+    # the solver transforms in place, out being its input
+    for inorm, public in ((0, scipy.fft.dstn), (2, scipy.fft.idstn)):
+        expected = public(x, type=1, workers=1)
+        y = x.copy()
+        assert pfft.dst(y, 1, (0, 1), inorm, y, 1) is y
+        assert y.tobytes() == expected.tobytes()
+
+
+def test_pocketfft_coexists_with_scipy_fft():
+    # in a fresh process: the direct load registers nothing in sys.modules,
+    # and a later import of scipy.fft still works and gives the same bytes
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from invdiff.forward import _pocketfft\n"
+        "pfft = _pocketfft()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "import scipy.fft\n"
+        "x = np.random.default_rng(5).standard_normal((63, 63))\n"
+        "ours = pfft.dst(x, 1, (0, 1), 2, None, 1)\n"
+        "print(ours.tobytes() == scipy.fft.idstn(x, type=1, workers=1).tobytes())\n")
+    src = str(Path(invdiff.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=os.environ | {"PYTHONPATH": src},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
+
+
+def test_missing_pocketfft_names_the_directory(monkeypatch):
+    # no fallback: a scipy without the extension fails at the first 2D solve
+    find_spec = importlib.machinery.PathFinder.find_spec
+    monkeypatch.setattr(
+        importlib.machinery.PathFinder, "find_spec",
+        lambda name, path=None, target=None:
+            None if name.endswith(".pypocketfft") else find_spec(name, path, target))
+    where = re.escape(os.path.join("scipy", "fft", "_pocketfft"))
+    with pytest.raises(ImportError, match=f"not found in .*{where}$"):
+        _pocketfft.__wrapped__()

@@ -39,6 +39,19 @@ def unused_imports(path: Path) -> list:
     return [(line, name) for line, name in imported if name not in used]
 
 
+def scipy_imports(path: Path) -> list:
+    """(line, module) of each `import scipy...` or `from scipy... import`
+    statement in `path`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return [(line, name) for line, name in found
+            if name.split(".")[0] == "scipy"]
+
+
 def test_sources_found():
     assert len(SOURCES) >= 9
 
@@ -73,3 +86,21 @@ def test_rule_sees_an_unused_import(tmp_path):
                       "def f(x: Mesh):\n"
                       "    return np.sqrt(os.path.getsize(x))\n")
     assert unused_imports(source) == [(2, "itertools"), (5, "Bad")]
+
+
+# forward._pocketfft loads scipy's sine transform without the scipy.fft
+# package and is the only route to scipy
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    assert scipy_imports(path) == []
+
+
+def test_rule_sees_a_scipy_import(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("import numpy, scipy.fft\n"
+                      "from scipy import ndimage\n"
+                      "def f():\n"
+                      "    import scipy as sp\n"
+                      "from scipyx import y\n"
+                      "from .scipy import z\n")
+    assert scipy_imports(source) == [(1, "scipy.fft"), (2, "scipy"), (4, "scipy")]
