@@ -27,7 +27,7 @@ from .mollify import MollifierSpec, mollify, approximation_functional, KERNELS
 from .recovery import recover_pwc, recover_1d
 from .experiments import (coefficient_family, stability_scan, write_samples_csv,
                           sine_basis, sine_series, step_coefficient,
-                          PIVOT_ALPHA0, FAMILY_TAGS, EPS_RANGE)
+                          PIVOT_ALPHA0, EPS_RANGE)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,141 +42,107 @@ class ConfigError(InputError):
 # Config schemas. additionalProperties is false everywhere: unknown keys are
 # rejected by name before any compute starts.
 
-_MESH_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "dim": {"enum": [1, 2]},
-        "n": {"type": "integer", "minimum": 2},
-    },
-    "required": ["dim", "n"],
-    "additionalProperties": False,
-}
+def _object(properties: dict, required=()) -> dict:
+    """A closed object schema: a key outside properties is rejected by name."""
+    return {"type": "object", "properties": properties,
+            "required": list(required), "additionalProperties": False}
 
-_COEFFICIENT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["constant", "pwc", "fourier", "step", "file"]},
-        "value": {"type": "number"},
-        "lambda": {"type": "number", "exclusiveMinimum": 0},
-        "Lambda": {"type": "number", "exclusiveMinimum": 0},
-        "partition_n": {"type": "integer", "minimum": 1},
-        "values": {"type": "array", "items": {"type": "number"}},
-        "seed": {"type": "integer", "minimum": 0},
-        "k_max": {"type": "integer", "minimum": 1, "maximum": MAX_CELLS},
-        "alpha": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "path": {"type": "string"},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
 
-_RHS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "constant": {"type": "number"},
-        "point_masses": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "number"},
-                      "minItems": 2, "maxItems": 2},
-        },
-    },
-    "additionalProperties": False,
-}
+def _one_of(key: str, cases: dict) -> dict:
+    """oneOf over {tag: (properties, required keys)}. Each case requires key
+    first and pins it to its tag with const, so the tag picks the one case
+    a config can match, and a key that case does not read is unknown."""
+    return {"oneOf": [_object({key: {"const": tag}} | properties,
+                              [key, *required])
+                      for tag, (properties, required) in cases.items()]}
 
-_SOLVER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "max_iter": {"type": "integer", "minimum": 1},
+
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_CLASS = {"lambda": _POSITIVE, "Lambda": _POSITIVE}
+_PARTITION_N = {"type": "integer", "minimum": 1}
+_SEED = {"type": "integer", "minimum": 0}
+_MESH_N = {"type": "integer", "minimum": 2}
+_MESH_SCHEMA = _object({"dim": {"enum": [1, 2]}, "n": _MESH_N}, ["dim", "n"])
+
+_COEFFICIENT_SCHEMA = _one_of("kind", {
+    "constant": ({"value": {"type": "number"}} | _CLASS,
+                 ["value", "lambda", "Lambda"]),
+    "pwc": ({"partition_n": _PARTITION_N,
+             "values": {"type": "array", "items": {"type": "number"}},
+             "seed": _SEED} | _CLASS, ["partition_n", "lambda", "Lambda"]),
+    "fourier": ({"seed": _SEED, "k_max": {"type": "integer", "minimum": 1,
+                                          "maximum": MAX_CELLS}} | _CLASS,
+                ["lambda", "Lambda"]),
+    # the class bounds default to step_coefficient's
+    "step": ({"alpha": {"type": "number", "exclusiveMinimum": 0,
+                        "exclusiveMaximum": 1}} | _CLASS, []),
+    "file": ({"path": {"type": "string"}} | _CLASS,
+             ["path", "lambda", "Lambda"]),
+})
+
+_RHS_SCHEMA = _object({
+    "constant": {"type": "number"},
+    "point_masses": {
+        "type": "array",
+        "items": {"type": "array", "items": {"type": "number"},
+                  "minItems": 2, "maxItems": 2},
     },
-    "additionalProperties": False,
+})
+
+_SOLVER_SCHEMA = _object({"tol": _POSITIVE,
+                          "max_iter": {"type": "integer", "minimum": 1}})
+
+_RECOVER = {"mesh": _MESH_SCHEMA, "u_file": {"type": "string"},
+            "rhs": _RHS_SCHEMA} | _CLASS
+
+# the keys every scan family reads
+_FAMILY = {
+    "seeds": {"type": "array", "items": _SEED, "minItems": 1},
+    "n_pairs": {"type": "integer", "minimum": 1, "maximum": MAX_CELLS},
+    "floor": _POSITIVE,
+    "eps_min": _POSITIVE,
+    "eps_max": _POSITIVE,
 }
 
 SCHEMAS = {
-    "solve": {
-        "type": "object",
-        "properties": {
-            "mesh": _MESH_SCHEMA,
-            "coefficient": _COEFFICIENT_SCHEMA,
-            "rhs": _RHS_SCHEMA,
-            "solver": _SOLVER_SCHEMA,
-        },
-        "required": ["mesh", "coefficient", "rhs"],
-        "additionalProperties": False,
-    },
-    "recover": {
-        "type": "object",
-        "properties": {
-            "mesh": _MESH_SCHEMA,
-            "mode": {"enum": ["pwc", "1d"]},
-            "u_file": {"type": "string"},
-            "rhs": _RHS_SCHEMA,
-            "partition_n": {"type": "integer", "minimum": 1},
-            "w_excl": {"type": "number", "exclusiveMinimum": 0},
-            "lambda": {"type": "number", "exclusiveMinimum": 0},
-            "Lambda": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["mesh", "mode", "u_file", "rhs", "lambda", "Lambda"],
-        "additionalProperties": False,
-    },
-    "scan": {
-        "type": "object",
-        "properties": {
-            "mesh": _MESH_SCHEMA,
-            "solver": _SOLVER_SCHEMA,
-            "experiment": {
-                "type": "object",
-                "properties": {
-                    "family": {"enum": list(FAMILY_TAGS)},
-                    "seeds": {"type": "array",
-                              "items": {"type": "integer", "minimum": 0}},
-                    "n_pairs": {"type": "integer", "minimum": 1,
-                                "maximum": MAX_CELLS},
-                    "floor": {"type": "number", "exclusiveMinimum": 0},
-                    "partition_n": {"type": "integer", "minimum": 1},
-                    "eps_min": {"type": "number", "exclusiveMinimum": 0},
-                    "eps_max": {"type": "number", "exclusiveMinimum": 0},
-                    "lambda": {"type": "number", "exclusiveMinimum": 0},
-                    "Lambda": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "required": ["family", "seeds"],
-                "additionalProperties": False,
-            },
-        },
-        "required": ["mesh", "experiment"],
-        "additionalProperties": False,
-    },
-    "pcfit": {
-        "type": "object",
-        "properties": {
-            "mesh": _MESH_SCHEMA,
-            "coefficient": _COEFFICIENT_SCHEMA,
-            "rhs": _RHS_SCHEMA,
-            "solver": _SOLVER_SCHEMA,
-            "fit": {
-                "type": "object",
-                "properties": {"n_bins": {"type": "integer", "minimum": 4,
-                                          "maximum": MAX_CELLS}},
-                "required": ["n_bins"],
-                "additionalProperties": False,
-            },
-        },
-        "required": ["mesh", "coefficient", "rhs", "fit"],
-        "additionalProperties": False,
-    },
-    "mollcheck": {
-        "type": "object",
-        "properties": {
-            "mesh": _MESH_SCHEMA,
-            "field": {"enum": ["step", "smooth"]},
-            "kernel": {"enum": list(KERNELS)},
-            "t_min_cells": {"type": "number", "minimum": 2},
-            "t_max": {"type": "number", "exclusiveMinimum": 0},
-            "n_t": {"type": "integer", "minimum": 3, "maximum": MAX_CELLS},
-        },
-        "required": ["mesh", "field"],
-        "additionalProperties": False,
-    },
+    "solve": _object({
+        "mesh": _MESH_SCHEMA,
+        "coefficient": _COEFFICIENT_SCHEMA,
+        "rhs": _RHS_SCHEMA,
+        "solver": _SOLVER_SCHEMA,
+    }, ["mesh", "coefficient", "rhs"]),
+    "recover": _one_of("mode", {
+        "pwc": (_RECOVER | {"partition_n": _PARTITION_N},
+                [*_RECOVER, "partition_n"]),
+        "1d": (_RECOVER | {"w_excl": _POSITIVE}, list(_RECOVER)),
+    }),
+    "scan": _object({
+        "mesh": _MESH_SCHEMA,
+        "solver": _SOLVER_SCHEMA,
+        "experiment": _one_of("family", {
+            "smooth-fourier": (_FAMILY | _CLASS, ["seeds"]),
+            "pwc-random": (_FAMILY | _CLASS | {"partition_n": _PARTITION_N},
+                           ["seeds"]),
+            # the family keeps step_coefficient's class bounds
+            "step-1d-lowerbound": (_FAMILY, ["seeds"]),
+        }),
+    }, ["mesh", "experiment"]),
+    "pcfit": _object({
+        "mesh": _MESH_SCHEMA,
+        "coefficient": _COEFFICIENT_SCHEMA,
+        "rhs": _RHS_SCHEMA,
+        "solver": _SOLVER_SCHEMA,
+        "fit": _object({"n_bins": {"type": "integer", "minimum": 4,
+                                   "maximum": MAX_CELLS}}, ["n_bins"]),
+    }, ["mesh", "coefficient", "rhs", "fit"]),
+    "mollcheck": _object({
+        "mesh": _object({"dim": {"const": 1}, "n": _MESH_N}, ["dim", "n"]),
+        "field": {"enum": ["step", "smooth"]},
+        "kernel": {"enum": list(KERNELS)},
+        "t_min_cells": {"type": "number", "minimum": 2},
+        "t_max": _POSITIVE,
+        "n_t": {"type": "integer", "minimum": 3, "maximum": MAX_CELLS},
+    }, ["mesh", "field"]),
 }
 
 
@@ -196,13 +162,19 @@ _BOUNDS = (("minimum", operator.ge, "is less than the minimum of"),
             "is greater than or equal to the maximum of"))
 
 
+def _is(value, member) -> bool:
+    return type(value) is type(member) and value == member
+
+
 def _check(value, schema: dict, path: str = "") -> None:
     """Check a parsed config against one of the SCHEMAS tables.
 
-    Implements only the keywords the tables use. Stricter than JSON Schema
-    in two ways: an integer is a JSON integer, never an integral float or a
-    bool (nor is a bool a number), and an enum member matches in type as
-    well as value, so neither 2.0 nor true is a mesh dim.
+    Implements only the keywords the tables use. A oneOf is checked as the
+    one case whose const matches the key every case requires first, which
+    is JSON Schema's oneOf for such cases. Stricter than JSON Schema in two
+    ways: an integer is a JSON integer, never an integral float or a bool
+    (nor is a bool a number), and an enum or const member matches in type
+    as well as value, so neither 2.0 nor true is a mesh dim.
     """
     def fail(reason):
         raise ConfigError(f"bad config at {path or 'top level'}: {reason}")
@@ -213,12 +185,23 @@ def _check(value, schema: dict, path: str = "") -> None:
     def at(key):
         return f"{path}/{key}" if path else str(key)
 
+    if "oneOf" in schema:
+        cases = schema["oneOf"]
+        key = cases[0]["required"][0]
+        # without the key, the first case names it, or the value's type
+        schema = cases[0]
+        if isinstance(value, dict) and key in value:
+            tags = [case["properties"][key]["const"] for case in cases]
+            _check(value[key], {"enum": tags}, at(key))
+            schema = next(case for case, tag in zip(cases, tags)
+                          if _is(value[key], tag))
     kind = schema.get("type")
     if kind and (isinstance(value, bool) or not isinstance(value, _TYPES[kind])):
         bad(f"is not of type {kind!r}")
-    if "enum" in schema and not any(type(value) is type(e) and value == e
-                                    for e in schema["enum"]):
+    if "enum" in schema and not any(_is(value, e) for e in schema["enum"]):
         bad(f"is not one of {json.dumps(schema['enum'])}")
+    if "const" in schema and not _is(value, schema["const"]):
+        bad(f"is not {json.dumps(schema['const'])}")
     for key, passes, reason in _BOUNDS:
         if key in schema and not passes(value, schema[key]):
             bad(f"{reason} {schema[key]!r}")
@@ -288,31 +271,23 @@ _FAMILY_ARGS = {"lambda": "lam", "Lambda": "Lam", "n_pairs": "n_pairs",
 def _build_coefficient(config, mesh: Mesh) -> CoefficientField:
     spec = config["coefficient"]
     kind = spec["kind"]
-    lam = spec.get("lambda")
-    Lam = spec.get("Lambda")
     if kind == "step":
         if mesh.dim != 1:
             raise ConfigError("step coefficient is dim-1 only")
         bounds = {_FAMILY_ARGS[k]: spec[k] for k in ("lambda", "Lambda")
                   if k in spec}
         return step_coefficient(mesh, spec.get("alpha", PIVOT_ALPHA0), **bounds)
-    if lam is None or Lam is None:
-        raise ConfigError(f"{kind} coefficient needs 'lambda' and 'Lambda'")
+    lam, Lam = spec["lambda"], spec["Lambda"]
     if kind == "constant":
-        if "value" not in spec:
-            raise ConfigError("constant coefficient needs 'value'")
         return CoefficientField.constant(mesh, spec["value"], lam, Lam)
     if kind == "file":
-        if "path" not in spec:
-            raise ConfigError("file coefficient needs 'path'")
         values = read_field_csv(spec["path"], mesh, "cells")
         return CoefficientField(mesh, values, lam, Lam)
     if kind == "pwc":
-        n = spec.get("partition_n")
-        if n is None:
-            raise ConfigError("pwc coefficient needs 'partition_n'")
-        part = Partition(mesh, n)
+        part = Partition(mesh, spec["partition_n"])
         if "values" in spec:
+            if "seed" in spec:
+                raise ConfigError("pwc with 'values' draws nothing from 'seed'")
             vals_q = np.asarray(spec["values"], dtype=float)
             if vals_q.shape != (part.n_subcubes,):
                 raise ConfigError(
@@ -371,8 +346,6 @@ def cmd_recover(config, out: Path):
     f = _build_rhs(config, mesh)
     lam, Lam = config["lambda"], config["Lambda"]
     if config["mode"] == "pwc":
-        if "partition_n" not in config:
-            raise ConfigError("pwc recovery needs 'partition_n'")
         part = Partition(mesh, config["partition_n"])
         rec = recover_pwc(u, f, part, bounds=(lam, Lam))
         rec.write_csv(out / "a_rec.csv")
@@ -390,8 +363,6 @@ def cmd_scan(config, out: Path, seed_override=None, threads: int = 1):
     mesh = _build_mesh(config)
     exp = config["experiment"]
     seeds = [seed_override] if seed_override is not None else exp["seeds"]
-    if not seeds:
-        raise ConfigError("experiment needs a non-empty seed list")
     solver = config.get("solver", {})
     f = RightHandSide.constant(mesh, 1.0)
     reports = []
@@ -439,8 +410,6 @@ def cmd_pcfit(config, out: Path):
 
 def cmd_mollcheck(config, out: Path):
     mesh = _build_mesh(config)
-    if mesh.dim != 1:
-        raise ConfigError("mollcheck runs on dim-1 meshes")
     x = mesh.cell_centers_1d()
     if config["field"] == "step":
         lam, Lam = 1.0, 2.0

@@ -609,7 +609,8 @@ FOURIER_1D = SOLVE_1D | {"coefficient": {"kind": "fourier", "lambda": 0.5,
     ("pcfit", SOLVE_1D | FIT, "fit/n_bins", 6.0),
     ("mollcheck", {"mesh": {"dim": 1, "n": 256}, "field": "step"}, "n_t", 5.0),
     ("solve", PWC_2D, "coefficient/partition_n", 2.0),
-    ("scan", scan_config(1), "experiment/partition_n", 2.0),
+    ("scan", with_value(scan_config(1), "experiment/family", "pwc-random"),
+     "experiment/partition_n", 2.0),
     ("solve", FOURIER_1D, "coefficient/k_max", 3.0),
     ("solve", PWC_2D, "coefficient/seed", 1.0),
     ("scan", scan_config(1), "experiment/n_pairs", 3.0),
@@ -623,6 +624,39 @@ def test_integral_floats_and_bools_rejected(tmp_path, capsys, command, payload,
     err = capsys.readouterr().err
     assert err.startswith(f"invdiff: config error: bad config at {path}: ")
     assert len(err.strip().splitlines()) == 1
+
+
+# each config names a key its case does not read, or a value its case
+# cannot take, and runs nothing
+@pytest.mark.parametrize("command,payload,args,named", [
+    ("scan", {"mesh": {"dim": 1, "n": 256}, "experiment": {
+        "family": "step-1d-lowerbound", "seeds": [0], "lambda": 0.1,
+        "Lambda": 9.0, "partition_n": 7}}, [],
+     ["'Lambda'", "'lambda'", "'partition_n'"]),
+    ("solve", with_value(SOLVE_1D, "coefficient", {
+        "kind": "constant", "value": 1.0, "lambda": 0.5, "Lambda": 2.0,
+        "seed": 1, "k_max": 3, "alpha": 0.5, "path": "a.csv",
+        "partition_n": 2, "values": [1.0, 1.5]}), [],
+     ["'alpha'", "'k_max'", "'partition_n'", "'path'", "'seed'", "'values'"]),
+    ("recover", {"mesh": {"dim": 1, "n": 64}, "mode": "1d", "u_file": "u.csv",
+                 "rhs": {"constant": 1.0}, "partition_n": 3, "lambda": 0.5,
+                 "Lambda": 2.0}, [], ["'partition_n'"]),
+    ("solve", with_value(PWC_2D, "coefficient/values", [1.0] * 16), [],
+     ["'seed'"]),
+    ("mollcheck", {"mesh": {"dim": 2, "n": 64}, "field": "step"}, [],
+     ["mesh/dim"]),
+    ("scan", with_value(scan_config(1), "experiment/seeds", []),
+     ["--seed", "3"], ["experiment/seeds"]),
+])
+def test_config_the_case_does_not_read_is_config_error(
+        tmp_path, capsys, command, payload, args, named):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                 *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invdiff: config error:")
+    assert len(err.strip().splitlines()) == 1
+    assert all(name in err for name in named), err
 
 
 # json.load parses NaN and Infinity, and 1e999 as an infinite float
