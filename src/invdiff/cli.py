@@ -1,7 +1,7 @@
 # Command-line front end: config-driven runs emitting CSV/JSON artifacts.
 #
 # Exit codes: 0 success, 2 config/usage or I/O error (InputError, OSError),
-# 3 numerical failure (NumericalError).
+# 3 numerical failure (NumericalError) or out of memory (MemoryError).
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .mollify import MollifierSpec, mollify, approximation_functional, KERNELS
 from .recovery import recover_pwc, recover_1d
 from .experiments import (coefficient_family, stability_scan, write_samples_csv,
                           sine_basis, sine_series, step_coefficient,
-                          PIVOT_ALPHA0, EPS_RANGE)
+                          PIVOT_ALPHA0)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,8 +80,10 @@ _COEFFICIENT_SCHEMA = _one_of("kind", {
              ["path", "lambda", "Lambda"]),
 })
 
-_RHS_SCHEMA = _object({
-    "constant": {"type": "number"},
+_CONSTANT_RHS = {"constant": {"type": "number"}}
+# pcfit and pwc recovery need a smooth right side: no point masses
+_SMOOTH_RHS_SCHEMA = _object(_CONSTANT_RHS)
+_RHS_SCHEMA = _object(_CONSTANT_RHS | {
     "point_masses": {
         "type": "array",
         "items": {"type": "array", "items": {"type": "number"},
@@ -112,7 +114,8 @@ SCHEMAS = {
         "solver": _SOLVER_SCHEMA,
     }, ["mesh", "coefficient", "rhs"]),
     "recover": _one_of("mode", {
-        "pwc": (_RECOVER | {"partition_n": _PARTITION_N},
+        "pwc": (_RECOVER | {"rhs": _SMOOTH_RHS_SCHEMA,
+                            "partition_n": _PARTITION_N},
                 [*_RECOVER, "partition_n"]),
         "1d": (_RECOVER | {"w_excl": _POSITIVE}, list(_RECOVER)),
     }),
@@ -130,7 +133,7 @@ SCHEMAS = {
     "pcfit": _object({
         "mesh": _MESH_SCHEMA,
         "coefficient": _COEFFICIENT_SCHEMA,
-        "rhs": _RHS_SCHEMA,
+        "rhs": _SMOOTH_RHS_SCHEMA,
         "solver": _SOLVER_SCHEMA,
         "fit": _object({"n_bins": {"type": "integer", "minimum": 4,
                                    "maximum": MAX_CELLS}}, ["n_bins"]),
@@ -259,13 +262,10 @@ def _write_json(path, payload: dict, config: dict):
         f.write("\n")
 
 
-def _build_mesh(config) -> Mesh:
-    return Mesh(config["mesh"]["dim"], config["mesh"]["n"])
-
-
 # config keys -> the coefficient_family (and step_coefficient) parameters
 _FAMILY_ARGS = {"lambda": "lam", "Lambda": "Lam", "n_pairs": "n_pairs",
-                "partition_n": "partition_n"}
+                "partition_n": "partition_n", "eps_min": "eps_min",
+                "eps_max": "eps_max"}
 
 
 def _build_coefficient(config, mesh: Mesh) -> CoefficientField:
@@ -332,7 +332,7 @@ def _solve(a: CoefficientField, f: RightHandSide, solver: dict):
 # Subcommands
 
 def cmd_solve(config, out: Path):
-    mesh = _build_mesh(config)
+    mesh = Mesh(**config["mesh"])
     a = _build_coefficient(config, mesh)
     f = _build_rhs(config, mesh)
     u, report = _solve(a, f, config.get("solver", {}))
@@ -341,7 +341,7 @@ def cmd_solve(config, out: Path):
 
 
 def cmd_recover(config, out: Path):
-    mesh = _build_mesh(config)
+    mesh = Mesh(**config["mesh"])
     u = ScalarField(mesh, read_field_csv(config["u_file"], mesh, "nodes"))
     f = _build_rhs(config, mesh)
     lam, Lam = config["lambda"], config["Lambda"]
@@ -360,7 +360,7 @@ def cmd_recover(config, out: Path):
 
 
 def cmd_scan(config, out: Path, seed_override=None, threads: int = 1):
-    mesh = _build_mesh(config)
+    mesh = Mesh(**config["mesh"])
     exp = config["experiment"]
     seeds = [seed_override] if seed_override is not None else exp["seeds"]
     solver = config.get("solver", {})
@@ -373,17 +373,11 @@ def cmd_scan(config, out: Path, seed_override=None, threads: int = 1):
         return u
 
     kwargs = {arg: exp[key] for key, arg in _FAMILY_ARGS.items() if key in exp}
-    kwargs["eps_range"] = (exp.get("eps_min", EPS_RANGE[0]),
-                           exp.get("eps_max", EPS_RANGE[1]))
-
-    def all_pairs():
-        for seed in seeds:
-            yield from coefficient_family(exp["family"], seed, mesh, **kwargs)
-
+    pairs = coefficient_family(exp["family"], seeds, mesh, **kwargs)
     # stability_scan rejects a floor below 10x the solver tolerance before
     # it draws the first pair
     floor = {"floor": exp["floor"]} if "floor" in exp else {}
-    samples, fit = stability_scan(all_pairs(), solve, **floor, workers=threads,
+    samples, fit = stability_scan(pairs, solve, **floor, workers=threads,
                                   solver_tol=solver.get("tol", DEFAULT_TOL))
     write_samples_csv(out / "samples.csv", samples)
     # aggregates that do not depend on the order the solves finished in
@@ -397,7 +391,7 @@ def cmd_scan(config, out: Path, seed_override=None, threads: int = 1):
 
 
 def cmd_pcfit(config, out: Path):
-    mesh = _build_mesh(config)
+    mesh = Mesh(**config["mesh"])
     a = _build_coefficient(config, mesh)
     f = _build_rhs(config, mesh)
     u, report = _solve(a, f, config.get("solver", {}))
@@ -409,7 +403,7 @@ def cmd_pcfit(config, out: Path):
 
 
 def cmd_mollcheck(config, out: Path):
-    mesh = _build_mesh(config)
+    mesh = Mesh(**config["mesh"])
     x = mesh.cell_centers_1d()
     if config["field"] == "step":
         lam, Lam = 1.0, 2.0
@@ -474,6 +468,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"invdiff: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"invdiff: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"invdiff: I/O error: {exc}", file=sys.stderr)

@@ -4,7 +4,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from .forward import RightHandSide, solve_1d
 from .positivity import compute_weight, power_law_fit
 
 __all__ = [
-    "PIVOT_ALPHA0", "EPS_RANGE", "PairSample", "ExponentFit",
+    "PIVOT_ALPHA0", "PairSample", "ExponentFit",
     "LowerBoundValues", "sine_basis", "sine_series", "step_coefficient",
     "coefficient_family", "stability_scan", "fit_exponent",
     "envelope_constant", "lower_bound_closed_form", "write_samples_csv",
@@ -31,8 +30,6 @@ __all__ = [
 PIVOT_ALPHA0 = 2.0 - math.sqrt(2.0)
 
 FAMILY_TAGS = ("smooth-fourier", "pwc-random", "step-1d-lowerbound")
-
-EPS_RANGE = (1e-3, 1e-1)  # smallest and largest perturbation of a family
 
 
 @dataclass(frozen=True)
@@ -121,46 +118,41 @@ def step_coefficient(mesh: Mesh, alpha: float, lam: float = 0.4,
     return CoefficientField(mesh, np.where(x < alpha, 1.0, 0.5), lam, Lam)
 
 
-@functools.lru_cache(maxsize=1)
-def _mesh_sampler(sampler, mesh: Mesh, k_max: int):
-    """sampler at the cell centers of mesh, cached for the last mesh and
-    k_max, so that the families of a scan share one basis. The key holds
-    the sampler too, so that a replaced _fourier_sampler is used."""
-    return sampler(mesh.cell_centers_1d(), mesh.dim, k_max)
-
-
-def coefficient_family(tag: str, seed: int, mesh: Mesh, n_pairs: int = 12,
+def coefficient_family(tag: str, seeds, mesh: Mesh, n_pairs: int = 12,
                        lam: float = 0.5, Lam: float = 2.0,
                        partition_n: int = 2, k_max: int = 6,
-                       eps_range=EPS_RANGE):
-    """Deterministic stream of coefficient pairs (a, b, metadata).
+                       eps_min: float = 1e-3, eps_max: float = 1e-1):
+    """Deterministic stream of coefficient pairs (a, b, metadata): the
+    n_pairs pairs of each seed in seeds in turn, pair j of a seed drawn from
+    default_rng([seed, j]) with the perturbation amplitudes log-spaced from
+    eps_min to eps_max. What the pairs share (the sine basis, the subcube
+    map, the step family's a) is built once for the whole stream.
 
-    smooth-fourier: random sine fields with k^-2 decay and log-spaced
-    perturbation amplitudes; every field stays inside [lam, Lam] by
-    construction, no clamping.
-    pwc-random: piecewise constants on P_partition_n with log-spaced
-    perturbation amplitudes.
+    smooth-fourier: random sine fields with k^-2 decay; every field stays
+    inside [lam, Lam] by construction, no clamping.
+    pwc-random: piecewise constants on P_partition_n.
     step-1d-lowerbound: step_coefficient with its default class bounds,
-    the jump at the pivot for a and at log-spaced offsets for b, offsets
-    snapped to mesh nodes.
+    the jump at the pivot for a and at the amplitudes as offsets for b,
+    offsets snapped to mesh nodes; the same pairs for every seed.
     """
     if tag not in FAMILY_TAGS:
         raise FieldArgumentError(f"unknown family tag {tag!r}")
     if n_pairs < 1:
         raise FieldArgumentError(f"n_pairs must be >= 1, got {n_pairs}")
-    eps_values = np.geomspace(eps_range[0], eps_range[1], n_pairs)
+    eps_values = np.geomspace(eps_min, eps_max, n_pairs)
 
     if tag == "step-1d-lowerbound":
         if mesh.dim != 1:
             raise FieldArgumentError("step-1d-lowerbound is a dim-1 family")
         alpha_eff = _snap(PIVOT_ALPHA0, mesh.n)
         a = step_coefficient(mesh, alpha_eff)
-        for j, offset in enumerate(eps_values):
-            beta_eff = _snap(PIVOT_ALPHA0 + offset, mesh.n)
-            b = step_coefficient(mesh, beta_eff)
-            meta = {"family": tag, "seed": seed * 10000 + j, "n": mesh.n,
-                    "alpha_eff": alpha_eff, "beta_eff": beta_eff}
-            yield a, b, meta
+        for seed in seeds:
+            for j, offset in enumerate(eps_values):
+                beta_eff = _snap(PIVOT_ALPHA0 + offset, mesh.n)
+                b = step_coefficient(mesh, beta_eff)
+                meta = {"family": tag, "seed": seed * 10000 + j, "n": mesh.n,
+                        "alpha_eff": alpha_eff, "beta_eff": beta_eff}
+                yield a, b, meta
         return
 
     mid = 0.5 * (lam + Lam)
@@ -170,28 +162,31 @@ def coefficient_family(tag: str, seed: int, mesh: Mesh, n_pairs: int = 12,
     if base_amp + margin >= half:
         raise FieldArgumentError("perturbation amplitudes would leave the class")
     if tag == "smooth-fourier":
-        fourier_field = _mesh_sampler(_fourier_sampler, mesh, k_max)
+        fourier_field = _fourier_sampler(mesh.cell_centers_1d(), mesh.dim,
+                                         k_max)
     else:
         part = Partition(mesh, partition_n)
         qmap = part.subcube_of_cells()
 
-    for j, eps in enumerate(eps_values):
-        rng = np.random.default_rng([seed, j])
-        if tag == "smooth-fourier":
-            base = fourier_field(rng)
-            pert = fourier_field(rng)
-            a_vals = mid + base_amp * base
-            b_vals = a_vals + eps * (Lam - lam) * pert
-        else:  # pwc-random
-            base_q = rng.uniform(lam + margin, Lam - margin, part.n_subcubes)
-            pert_q = rng.uniform(-1.0, 1.0, part.n_subcubes)
-            a_vals = base_q[qmap]
-            b_vals = a_vals + eps * (Lam - lam) * pert_q[qmap]
-        a = CoefficientField(mesh, a_vals, lam, Lam)
-        b = CoefficientField(mesh, b_vals, lam, Lam)
-        meta = {"family": tag, "seed": seed * 10000 + j, "n": mesh.n,
-                "eps": float(eps)}
-        yield a, b, meta
+    for seed in seeds:
+        for j, eps in enumerate(eps_values):
+            rng = np.random.default_rng([seed, j])
+            if tag == "smooth-fourier":
+                base = fourier_field(rng)
+                pert = fourier_field(rng)
+                a_vals = mid + base_amp * base
+                b_vals = a_vals + eps * (Lam - lam) * pert
+            else:  # pwc-random
+                base_q = rng.uniform(lam + margin, Lam - margin,
+                                     part.n_subcubes)
+                pert_q = rng.uniform(-1.0, 1.0, part.n_subcubes)
+                a_vals = base_q[qmap]
+                b_vals = a_vals + eps * (Lam - lam) * pert_q[qmap]
+            a = CoefficientField(mesh, a_vals, lam, Lam)
+            b = CoefficientField(mesh, b_vals, lam, Lam)
+            meta = {"family": tag, "seed": seed * 10000 + j, "n": mesh.n,
+                    "eps": float(eps)}
+            yield a, b, meta
 
 
 def stability_scan(pairs, solve, floor: float = 1e-8, solver_tol=None,

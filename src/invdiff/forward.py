@@ -198,22 +198,20 @@ def load_functional(f: RightHandSide, v: ScalarField) -> float:
     return total
 
 
-def _five_point(a: CoefficientField, tmp: np.ndarray | None = None):
+def _five_point(a: CoefficientField, tmp: np.ndarray):
     """Matrix-free five-point operator on (N-1, N-1) interior-node arrays.
 
     Row (i, j) is the flux balance of node (i, j) with the harmonic face
     coefficients of its east, west, north and south faces; neighbours on the
     boundary ring carry zero Dirichlet data and drop out. apply(x, out)
-    writes A x into out through the scratch array tmp (made here if not
-    given), so that repeated applies allocate nothing. tmp holds nothing
-    between applies, so a caller may use it for other work in between.
+    writes A x into out through the scratch array tmp, shaped like x, so
+    that repeated applies allocate nothing. tmp holds nothing between
+    applies, so a caller may use it for other work in between.
     """
     ax, ay = face_coefficients(a)
     diag = ax[1:] + ax[:-1] + ay[:, 1:] + ay[:, :-1]
     # a face between two interior nodes couples each of them to the other
     fx, fy = ax[1:-1], ay[:, 1:-1]
-    if tmp is None:
-        tmp = np.empty_like(diag)
 
     def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         y = np.multiply(diag, x, out=out)

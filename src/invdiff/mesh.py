@@ -29,33 +29,28 @@ class MeshArgumentError(InputError):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform grid on (0,1)^dim with n_cells_per_side cells per axis.
+    """Uniform grid on (0,1)^dim with n cells per axis.
 
     Coefficients live at cell centers ((i+1/2)h per axis), solutions at
     interior lattice nodes (i*h), gradients on the faces between nodes.
     """
 
     dim: int
-    n_cells_per_side: int
+    n: int
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise MeshArgumentError(f"dim must be 1 or 2, got {self.dim}")
-        if self.n_cells_per_side < 2:
+        if self.n < 2:
+            raise MeshArgumentError(f"n must be >= 2, got {self.n}")
+        if self.n ** self.dim > MAX_CELLS:
             raise MeshArgumentError(
-                f"n_cells_per_side must be >= 2, got {self.n_cells_per_side}")
-        if self.n_cells_per_side ** self.dim > MAX_CELLS:
-            raise MeshArgumentError(
-                f"mesh of {self.n_cells_per_side}^{self.dim} cells exceeds the "
+                f"mesh of {self.n}^{self.dim} cells exceeds the "
                 f"limit of {MAX_CELLS} cells")
 
     @property
-    def n(self) -> int:
-        return self.n_cells_per_side
-
-    @property
     def h(self) -> float:
-        return 1.0 / self.n_cells_per_side
+        return 1.0 / self.n
 
     @property
     def cell_shape(self) -> tuple:

@@ -260,8 +260,8 @@ def test_criterion_8_lower_bound_exponent():
 
     # smallest offset at least five cells so the midpoint quadrature of the
     # discrete norm stays within the 1% comparison budget
-    pairs = list(coefficient_family("step-1d-lowerbound", 0, mesh, n_pairs=10,
-                                    eps_range=(1.25e-3, 1e-1)))
+    pairs = list(coefficient_family("step-1d-lowerbound", [0], mesh,
+                                    n_pairs=10, eps_min=1.25e-3, eps_max=1e-1))
     samples, fit = stability_scan(iter(pairs), solve, floor=1e-8)
     worst = 0.0
     for (a, b, meta), s in zip(pairs, samples):
@@ -279,7 +279,7 @@ def test_criterion_9_upper_bound_envelopes():
         mesh = Mesh(1, n)
         f = RightHandSide.constant(mesh, 1.0)
         samples, _ = stability_scan(
-            coefficient_family(family, seed, mesh, n_pairs=n_pairs),
+            coefficient_family(family, [seed], mesh, n_pairs=n_pairs),
             lambda a: solve_1d(a, f)[0], floor=1e-8)
         return samples
 
@@ -287,7 +287,7 @@ def test_criterion_9_upper_bound_envelopes():
         mesh = Mesh(2, n)
         f = RightHandSide.constant(mesh, 1.0)
         samples, _ = stability_scan(
-            coefficient_family("smooth-fourier", 21, mesh, n_pairs=10),
+            coefficient_family("smooth-fourier", [21], mesh, n_pairs=10),
             lambda a: solve_fd_2d(a, f, tol=1e-10)[0], floor=1e-8)
         return samples
 
@@ -328,13 +328,14 @@ def test_criterion_11_weighted_estimate_monitor():
 
     triples = []
     for seed in range(100):
-        a, b, _ = next(coefficient_family("smooth-fourier", seed, mesh,
-                                          n_pairs=1, eps_range=(1e-2, 1e-2)))
+        a, b, _ = next(coefficient_family("smooth-fourier", [seed], mesh,
+                                          n_pairs=1, eps_min=1e-2,
+                                          eps_max=1e-2))
         triples.append(weighted_estimate_monitor(a, b, f, solve))
     ratio_max = max(t[2] for t in triples)
     none_violates = all(lhs <= ratio_max * rhs * (1 + 1e-12)
                         for lhs, rhs, _ in triples)
-    a, _, _ = next(coefficient_family("smooth-fourier", 0, mesh, n_pairs=1))
+    a, _, _ = next(coefficient_family("smooth-fourier", [0], mesh, n_pairs=1))
     lhs_same, _, _ = weighted_estimate_monitor(a, a, f, solve)
     ok = (abs(ratio_max - PINNED_MONITOR_MAX) <= 1e-9 * PINNED_MONITOR_MAX
           and none_violates and lhs_same == 0.0)

@@ -765,3 +765,69 @@ def test_non_utf8_input_is_config_error(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert err.startswith("invdiff: config error:")
     assert str(bad) in err and "not UTF-8" in err
+
+
+RECOVER_PWC_1D = {"mesh": {"dim": 1, "n": 64}, "mode": "pwc",
+                  "u_file": "u.csv", "rhs": {"constant": 1.0},
+                  "partition_n": 2, "lambda": 0.5, "Lambda": 2.0}
+PREFIX = {EXIT_CONFIG: "invdiff: config error: ",
+          EXIT_NUMERICAL: "invdiff: numerical failure: "}
+
+
+# the raise behind each of these is reached by no other test
+@pytest.mark.parametrize("command,payload,code,message", [
+    ("solve", with_value(SOLVE_2D, "coefficient", {"kind": "step"}),
+     EXIT_CONFIG, "step coefficient is dim-1 only"),
+    ("solve", with_value(PWC_2D, "coefficient", {
+        "kind": "pwc", "partition_n": 4, "values": [1.0, 1.5, 1.0],
+        "lambda": 0.5, "Lambda": 2.0}),
+     EXIT_CONFIG, "pwc needs 16 values, got 3"),
+    ("mollcheck", {"mesh": {"dim": 1, "n": 64}, "field": "step",
+                   "t_max": 0.01},
+     EXIT_CONFIG, "t range empty: [0.0625, 0.01]"),
+    ("scan", with_value(scan_config(2), "experiment/family",
+                        "step-1d-lowerbound"),
+     EXIT_CONFIG, "step-1d-lowerbound is a dim-1 family"),
+    ("scan", with_value(scan_config(1), "experiment/eps_max", 0.5),
+     EXIT_CONFIG, "perturbation amplitudes would leave the class"),
+    ("recover", {"mesh": {"dim": 2, "n": 4}, "mode": "1d", "u_file": "u.csv",
+                 "rhs": {"constant": 1.0}, "lambda": 0.5, "Lambda": 2.0},
+     EXIT_CONFIG, "recover_1d requires a dim-1 mesh"),
+    ("pcfit", with_value(SOLVE_1D | FIT, "mesh/n", 2),
+     EXIT_NUMERICAL, "no cells beyond one layer (max dist 0.25 <= h)"),
+    ("pcfit", with_value(with_value(SOLVE_1D, "mesh/n", 8), "fit",
+                         {"n_bins": 40}),
+     EXIT_NUMERICAL, "only 0 usable envelope bins out of 40"),
+    ("solve", "{mesh",
+     EXIT_CONFIG, "config is not valid JSON: Expecting property name "
+                  "enclosed in double quotes: line 1 column 2 (char 1)"),
+], ids=["step-2d", "pwc-value-count", "t-range", "step-family-2d",
+        "eps-max", "recover-1d-on-2d", "pcfit-one-layer", "pcfit-bins",
+        "not-json"])
+def test_error_path_names_the_fault(tmp_path, capsys, monkeypatch, command,
+                                   payload, code, message):
+    monkeypatch.chdir(tmp_path)
+    mesh = Mesh(2, 4)  # the recover case's u_file
+    write_field_csv("u.csv", mesh, np.zeros(mesh.node_shape), "nodes")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    assert run(command, str(cfg), tmp_path / "out") == code
+    assert capsys.readouterr().err == PREFIX[code] + message + "\n"
+
+
+# a right side the command cannot use fails before the output directory is
+# made, so before any solve or read
+@pytest.mark.parametrize("command,payload", [("pcfit", SOLVE_1D | FIT),
+                                             ("recover", RECOVER_PWC_1D)])
+def test_point_masses_fail_before_compute(tmp_path, capsys, monkeypatch,
+                                          command, payload):
+    monkeypatch.chdir(tmp_path)
+    mesh = Mesh(1, 64)  # the recover case's u_file
+    write_field_csv("u.csv", mesh, np.ones(mesh.node_shape), "nodes")
+    cfg = write_config(tmp_path, "c.json", with_value(
+        payload, "rhs/point_masses", [[0.5, 1.0]]))
+    assert run(command, cfg, tmp_path / "out") == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "invdiff: config error: bad config at rhs: "
+        "unknown key(s) 'point_masses'\n")
+    assert not (tmp_path / "out").exists()

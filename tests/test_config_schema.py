@@ -6,6 +6,7 @@ import copy
 import pytest
 
 from invdiff.cli import SCHEMAS, ConfigError, _check
+from invdiff.experiments import FAMILY_TAGS
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -37,7 +38,9 @@ FULL = {
         {"kind": "file", "path": "a.csv"} | CLASS,
     ]],
     "recover": [
-        {"mode": "pwc", "partition_n": 2} | RECOVER,
+        # pwc recovery takes a smooth right side only
+        {"mode": "pwc", "partition_n": 2} | RECOVER
+        | {"rhs": {"constant": 1.0}},
         {"mode": "1d", "w_excl": 0.02} | RECOVER,
     ],
     "scan": [{"mesh": {"dim": 1, "n": 256}, "solver": SOLVER,
@@ -190,6 +193,12 @@ def test_schemas_use_only_implemented_keywords():
 
     for command, schema in SCHEMAS.items():
         walk(schema, command)
+
+
+def test_scan_cases_are_the_family_tags():
+    cases = SCHEMAS["scan"]["properties"]["experiment"]["oneOf"]
+    tags = {case["properties"]["family"]["const"] for case in cases}
+    assert tags == set(FAMILY_TAGS)
 
 
 # a oneOf keeps the errors of the flat table it replaced: the missing tag,

@@ -100,15 +100,20 @@ def limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
 
 
-@pytest.mark.parametrize("command,payload", [
+@pytest.mark.parametrize("command,payload,code,prefix", [
     ("scan", {"mesh": {"dim": 1, "n": 256},
               "experiment": {"family": "smooth-fourier", "seeds": [1],
-                             "n_pairs": 10 ** 12}}),
+                             "n_pairs": 10 ** 12}},
+     cli.EXIT_CONFIG, "invdiff: config error: "),
     ("solve", SOLVE_1D | {"coefficient": {"kind": "fourier", "k_max": 10 ** 8,
-                                          "lambda": 0.5, "Lambda": 2.0}}),
-    ("solve", None),
-], ids=["n_pairs", "k_max", "missing_config"])
-def test_process_exit_code(tmp_path, command, payload):
+                                          "lambda": 0.5, "Lambda": 2.0}},
+     cli.EXIT_CONFIG, "invdiff: config error: "),
+    ("solve", None, cli.EXIT_CONFIG, "invdiff: I/O error: "),
+    # a mesh under the cell limit whose arrays do not fit in 2 GiB together
+    ("solve", SOLVE_1D | {"mesh": {"dim": 1, "n": 2 ** 26}},
+     cli.EXIT_NUMERICAL, "invdiff: out of memory: "),
+], ids=["n_pairs", "k_max", "missing_config", "out_of_memory"])
+def test_process_exit_code(tmp_path, command, payload, code, prefix):
     cfg = (write_config(tmp_path, payload) if payload
            else str(tmp_path / "none.json"))
     src = str(Path(invdiff.__file__).resolve().parents[1])
@@ -118,6 +123,8 @@ def test_process_exit_code(tmp_path, command, payload):
         capture_output=True, text=True, preexec_fn=limit_memory,
         env=os.environ | {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
         timeout=120)
-    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith(prefix)
+    assert not list(tmp_path.glob("out/*"))

@@ -92,15 +92,15 @@ class TestCoefficientFamily:
     def test_deterministic(self):
         mesh = Mesh(1, 256)
         first = [(a.values, b.values) for a, b, _ in
-                 coefficient_family("smooth-fourier", 4, mesh, n_pairs=3)]
+                 coefficient_family("smooth-fourier", [4], mesh, n_pairs=3)]
         second = [(a.values, b.values) for a, b, _ in
-                  coefficient_family("smooth-fourier", 4, mesh, n_pairs=3)]
+                  coefficient_family("smooth-fourier", [4], mesh, n_pairs=3)]
         for (a1, b1), (a2, b2) in zip(first, second):
             assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
     def test_step_family_values(self):
         mesh = Mesh(1, 4096)
-        for a, b, meta in coefficient_family("step-1d-lowerbound", 0, mesh,
+        for a, b, meta in coefficient_family("step-1d-lowerbound", [0], mesh,
                                              n_pairs=5):
             for field in (a, b):
                 assert set(np.unique(field.values)) <= {0.5, 1.0}
@@ -109,7 +109,7 @@ class TestCoefficientFamily:
 
     def test_pwc_family_class_membership(self):
         mesh = Mesh(2, 64)
-        for a, b, _ in coefficient_family("pwc-random", 3, mesh, n_pairs=4,
+        for a, b, _ in coefficient_family("pwc-random", [3], mesh, n_pairs=4,
                                           partition_n=4):
             for field in (a, b):
                 assert len(np.unique(field.values)) <= 16
@@ -118,7 +118,7 @@ class TestCoefficientFamily:
 
     def test_unknown_tag(self):
         with pytest.raises(FieldArgumentError):
-            list(coefficient_family("nope", 0, Mesh(1, 64)))
+            list(coefficient_family("nope", [0], Mesh(1, 64)))
 
     @pytest.mark.parametrize("tag, n, builds", [("pwc-random", 64, 1),
                                                 ("smooth-fourier", 63, 0)])
@@ -130,8 +130,41 @@ class TestCoefficientFamily:
             return Partition(*args)
 
         monkeypatch.setattr(experiments, "Partition", counted)
-        pairs = list(coefficient_family(tag, 2, Mesh(2, n), n_pairs=12))
+        pairs = list(coefficient_family(tag, [2], Mesh(2, n), n_pairs=12))
         assert len(pairs) == 12 and len(made) == builds
+
+    @pytest.mark.parametrize("tag,dim", [("smooth-fourier", 1),
+                                         ("smooth-fourier", 2),
+                                         ("pwc-random", 2),
+                                         ("step-1d-lowerbound", 1)])
+    def test_stream_is_each_seed_in_turn(self, monkeypatch, tag, dim):
+        mesh = Mesh(dim, 16 if dim == 2 else 128)
+        built = {"Partition": [], "_fourier_sampler": []}
+
+        def counted(calls, original):
+            def call(*args):
+                calls.append(args)
+                return original(*args)
+            return call
+
+        for name, calls in built.items():
+            monkeypatch.setattr(experiments, name,
+                                counted(calls, getattr(experiments, name)))
+        stream = list(coefficient_family(tag, [5, 2], mesh, n_pairs=3))
+        # what the pairs share is built once for the whole stream
+        assert {name: len(calls) for name, calls in built.items()} == {
+            "Partition": int(tag == "pwc-random"),
+            "_fourier_sampler": int(tag == "smooth-fourier")}
+        apart = [pair for seed in (5, 2)
+                 for pair in coefficient_family(tag, [seed], mesh, n_pairs=3)]
+        assert len(stream) == len(apart) == 6
+        for (a, b, meta), (a_ref, b_ref, meta_ref) in zip(stream, apart):
+            for field, ref in ((a, a_ref), (b, b_ref)):
+                assert field.values.tobytes() == ref.values.tobytes()
+                assert (field.lam, field.Lam) == (ref.lam, ref.Lam)
+            assert meta == meta_ref
+        assert [meta["seed"] for _, _, meta in stream] == [
+            50000, 50001, 50002, 20000, 20001, 20002]
 
 
 def reference_fourier_field(rng, x_axes, k_max):
@@ -166,11 +199,12 @@ class TestSineBasis:
         for seed in (0, 7, 123):
             kwargs = dict(n_pairs=4, k_max=k_max)
             fields = [(a.values, b.values) for a, b, _ in
-                      coefficient_family("smooth-fourier", seed, mesh, **kwargs)]
+                      coefficient_family("smooth-fourier", [seed], mesh,
+                                         **kwargs)]
             with monkeypatch.context() as m:
                 m.setattr(experiments, "_fourier_sampler", reference_sampler)
                 expect = [(a.values, b.values) for a, b, _ in
-                          coefficient_family("smooth-fourier", seed, mesh,
+                          coefficient_family("smooth-fourier", [seed], mesh,
                                              **kwargs)]
             for (a, b), (a_ref, b_ref) in zip(fields, expect, strict=True):
                 assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
@@ -206,7 +240,7 @@ class TestStabilityScan:
         mesh = Mesh(1, 4096)
         _, solve = solver_1d(mesh)
         samples, fit = stability_scan(
-            coefficient_family("step-1d-lowerbound", 0, mesh, n_pairs=10),
+            coefficient_family("step-1d-lowerbound", [0], mesh, n_pairs=10),
             solve, floor=1e-8)
         assert 0.28 <= fit.alpha_hat <= 0.39
         assert fit.status == "ok"
@@ -216,15 +250,16 @@ class TestStabilityScan:
         mesh = Mesh(2, 64)
         _, solve = solver_2d(mesh)
         samples, fit = stability_scan(
-            coefficient_family("pwc-random", 5, mesh, n_pairs=10,
-                               partition_n=2, eps_range=(3e-4, 1e-1)),
+            coefficient_family("pwc-random", [5], mesh, n_pairs=10,
+                               partition_n=2, eps_min=3e-4, eps_max=1e-1),
             solve, floor=1e-8, solver_tol=1e-10)
         assert 0.8 <= fit.alpha_hat <= 1.2
 
     def test_interchange_symmetry(self):
         mesh = Mesh(1, 512)
         _, solve = solver_1d(mesh)
-        a, b, meta = next(coefficient_family("smooth-fourier", 8, mesh, n_pairs=1))
+        a, b, meta = next(coefficient_family("smooth-fourier", [8], mesh,
+                                             n_pairs=1))
         s1, _ = stability_scan(iter([(a, b, meta)]), solve, floor=1e-12)
         s2, _ = stability_scan(iter([(b, a, meta)]), solve, floor=1e-12)
         assert s1[0].delta_l2 == pytest.approx(s2[0].delta_l2, rel=1e-12)
@@ -244,7 +279,7 @@ class TestStabilityScan:
         mesh = Mesh(1, 2048)
         _, solve = solver_1d(mesh)
         samples, _ = stability_scan(
-            coefficient_family("smooth-fourier", 11, mesh, n_pairs=12),
+            coefficient_family("smooth-fourier", [11], mesh, n_pairs=12),
             solve, floor=1e-8)
         fit = fit_exponent(samples)
         c = envelope_constant(samples, fit.alpha_hat)
@@ -264,7 +299,8 @@ class TestClosedFormVsGrid:
         # its square; offsets of >= 5 cells sit within 1%
         mesh = Mesh(1, 4096)
         _, solve = solver_1d(mesh)
-        pairs = list(coefficient_family("step-1d-lowerbound", 0, mesh, n_pairs=10))
+        pairs = list(coefficient_family("step-1d-lowerbound", [0], mesh,
+                                        n_pairs=10))
         samples, _ = stability_scan(iter(pairs), solve, floor=1e-8)
         for (a, b, meta), s in zip(pairs, samples):
             lb = lower_bound_closed_form(meta["beta_eff"], alpha=meta["alpha_eff"])
@@ -279,7 +315,8 @@ class TestWeightedEstimateMonitor:
     def test_identical_coefficients_give_zero(self):
         mesh = Mesh(1, 256)
         f, solve = solver_1d(mesh)
-        a, _, _ = next(coefficient_family("smooth-fourier", 0, mesh, n_pairs=1))
+        a, _, _ = next(coefficient_family("smooth-fourier", [0], mesh,
+                                          n_pairs=1))
         lhs, rhs, ratio = weighted_estimate_monitor(a, a, f, solve)
         assert lhs == 0.0 and ratio == 0.0
 
@@ -288,16 +325,18 @@ class TestWeightedEstimateMonitor:
         f, solve = solver_1d(mesh)
         ratios = []
         for seed in range(20):
-            a, b, _ = next(coefficient_family("smooth-fourier", seed, mesh,
-                                              n_pairs=1, eps_range=(1e-2, 1e-2)))
+            a, b, _ = next(coefficient_family("smooth-fourier", [seed], mesh,
+                                              n_pairs=1, eps_min=1e-2,
+                                              eps_max=1e-2))
             ratios.append(weighted_estimate_monitor(a, b, f, solve)[2])
         assert max(ratios) <= 1.2 * 0.0044884801847442915  # pinned constant
 
     def test_dim2_path(self):
         mesh = Mesh(2, 32)
         f, solve = solver_2d(mesh)
-        a, b, _ = next(coefficient_family("smooth-fourier", 1, mesh, n_pairs=1,
-                                          eps_range=(1e-2, 1e-2)))
+        a, b, _ = next(coefficient_family("smooth-fourier", [1], mesh,
+                                          n_pairs=1, eps_min=1e-2,
+                                          eps_max=1e-2))
         lhs, rhs, ratio = weighted_estimate_monitor(a, b, f, solve)
         assert lhs >= 0 and rhs > 0
         assert np.isfinite(ratio) and ratio > 0
@@ -305,8 +344,9 @@ class TestWeightedEstimateMonitor:
     def test_linearization_scaling(self):
         mesh = Mesh(1, 512)
         f, solve = solver_1d(mesh)
-        a, b, _ = next(coefficient_family("smooth-fourier", 3, mesh, n_pairs=1,
-                                          eps_range=(1e-3, 1e-3)))
+        a, b, _ = next(coefficient_family("smooth-fourier", [3], mesh,
+                                          n_pairs=1, eps_min=1e-3,
+                                          eps_max=1e-3))
         half = CoefficientField(mesh, a.values + 0.5 * (b.values - a.values),
                                 a.lam, a.Lam)
         l1, r1, _ = weighted_estimate_monitor(a, b, f, solve)

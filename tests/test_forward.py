@@ -343,7 +343,7 @@ class TestSolveFd2d:
         rng = np.random.default_rng(3)
         a = CoefficientField(mesh, rng.uniform(0.5, 2.0, mesh.cell_shape),
                              0.5, 2.0)
-        apply_A = _five_point(a)
+        apply_A = _five_point(a, np.empty(mesh.node_shape))
         for _ in range(3):
             x = rng.standard_normal(mesh.node_shape)
             y = rng.standard_normal(mesh.node_shape)

@@ -453,28 +453,25 @@ def test_scan_builds_one_antiderivative(monkeypatch):
     mesh = Mesh(1, 256)
     f = RightHandSide.constant(mesh, 1.0)
     samples, _ = stability_scan(
-        coefficient_family("smooth-fourier", 0, mesh, n_pairs=12),
+        coefficient_family("smooth-fourier", [0], mesh, n_pairs=12),
         lambda a: solve_1d(a, f)[0])
     assert len(samples) == 12 and len(calls) == 1
 
 
 def family_values(seed, mesh, k_max):
     return [(a.values, b.values) for a, b, _ in coefficient_family(
-        "smooth-fourier", seed, mesh, n_pairs=3, k_max=k_max)]
+        "smooth-fourier", [seed], mesh, n_pairs=3, k_max=k_max)]
 
 
 def test_family_basis_follows_the_mesh(monkeypatch):
     runs = [(Mesh(1, 64), 6), (Mesh(1, 100), 6), (Mesh(1, 64), 6),
             (Mesh(2, 12), 6), (Mesh(1, 64), 3), (Mesh(2, 12), 6)]
     with monkeypatch.context() as m:
-        # uncached, so that the expected fields come from fresh bases
-        m.setattr(experiments, "_mesh_sampler",
-                  lambda sampler, mesh, k_max: reference_fourier_sampler(
-                      mesh.cell_centers_1d(), mesh.dim, k_max))
+        # the expected fields come from bases the stream does not build
+        m.setattr(experiments, "_fourier_sampler", reference_fourier_sampler)
         expect = [family_values(seed, mesh, k_max)
                   for seed, (mesh, k_max) in enumerate(runs)]
-    experiments._mesh_sampler.cache_clear()
-    # alternating meshes and k_max evict the one cached sampler every time
+    # alternating meshes and k_max: each stream builds its own basis
     for seed, ((mesh, k_max), fields) in enumerate(zip(runs, expect)):
         for (a, b), (a_ref, b_ref) in zip(family_values(seed, mesh, k_max),
                                           fields, strict=True):
@@ -510,7 +507,7 @@ def test_cached_arrays_are_read_only():
     assert f.antiderivative is f.antiderivative
     cached = [f.antiderivative, forward._inverse_eigenvalues(8)]
     for mesh in (Mesh(1, 64), Mesh(2, 12)):
-        draw = experiments._mesh_sampler(experiments._fourier_sampler, mesh, 6)
+        draw = experiments._fourier_sampler(mesh.cell_centers_1d(), mesh.dim, 6)
         arrays = closure_arrays(draw)
         assert len(arrays) == (2 if mesh.dim == 1 else 3)
         cached += arrays

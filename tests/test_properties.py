@@ -142,8 +142,7 @@ def test_scan_does_not_depend_on_workers(scan):
 
     results = []
     for workers, run in ((1, lambda a: solve(a, f)), (3, delayed)):
-        pairs = (pair for seed in seeds
-                 for pair in coefficient_family(family, seed, mesh, n_pairs=n_pairs))
+        pairs = coefficient_family(family, seeds, mesh, n_pairs=n_pairs)
         results.append(stability_scan(pairs, run, workers=workers))
     (samples, fit), (samples_3, fit_3) = results
     # repr writes every float in its shortest exact form, nan and -0.0 too

@@ -252,7 +252,7 @@ class TestRecoverPwc:
         # random piecewise-constant coefficient from the pair family
         from invdiff.experiments import coefficient_family
         mesh = Mesh(2, 128)
-        a, _, _ = next(coefficient_family("pwc-random", 9, mesh, n_pairs=1,
+        a, _, _ = next(coefficient_family("pwc-random", [9], mesh, n_pairs=1,
                                           partition_n=4))
         f = RightHandSide.constant(mesh, 1.0)
         u, _ = solve_fd_2d(a, f, tol=1e-11)

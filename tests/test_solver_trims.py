@@ -159,7 +159,6 @@ def test_shared_scratch_stencil_matches_reference(n):
     for _ in range(2):  # scratch content left by other work does not leak in
         assert np.array_equal(apply(x, out), expected)
         scratch.fill(np.inf)
-    assert np.array_equal(_five_point(a)(x), expected)
 
 
 @pytest.mark.parametrize("n", NS)
