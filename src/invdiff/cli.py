@@ -1,4 +1,6 @@
 # Command-line front end: config-driven runs emitting CSV/JSON artifacts.
+# A run reads only its config file, and this module alone sets each
+# artifact's file name, CSV header and columns, and JSON keys.
 #
 # Exit codes: 0 success, 2 config/usage or I/O error (InputError, OSError),
 # 3 numerical failure (NumericalError) or out of memory (MemoryError).
@@ -11,7 +13,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +23,11 @@ from .mesh import Mesh, Partition, MAX_CELLS, InputError, NumericalError
 from .field import (CoefficientField, ScalarField, write_csv, write_field_csv,
                     read_field_csv)
 from .forward import RightHandSide, solve_1d, solve_fd_2d, DEFAULT_TOL
-from .positivity import (compute_weight, fit_pc_beta, write_envelope_csv,
-                         power_law_fit)
+from .positivity import compute_weight, fit_pc_beta, power_law_fit
 from .mollify import MollifierSpec, mollify, approximation_functional, KERNELS
 from .recovery import recover_pwc, recover_1d
-from .experiments import (coefficient_family, stability_scan, write_samples_csv,
-                          sine_basis, sine_series, step_coefficient,
-                          PIVOT_ALPHA0)
+from .experiments import (coefficient_family, stability_scan, sine_basis,
+                          sine_series, step_coefficient, PIVOT_ALPHA0)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -234,15 +234,31 @@ def _finite(text: str) -> float:
     return number
 
 
+def _unique_keys(pairs) -> dict:
+    """json.load hook for every object: a repeated key is an error, where
+    json.load would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
-            config = json.load(f, parse_float=_finite, parse_constant=_finite)
+            config = json.load(f, parse_float=_finite, parse_constant=_finite,
+                               object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     _check(config, SCHEMAS[command])
+    # the schema cannot say it: the mesh dim sits in another object
+    if "solver" in config and config["mesh"]["dim"] == 1:
+        raise ConfigError("bad config at solver: a dim-1 mesh is solved "
+                          "directly, so no solver settings apply")
     return config
 
 
@@ -328,6 +344,13 @@ def _solve(a: CoefficientField, f: RightHandSide, solver: dict):
     return solve_fd_2d(a, f, **solver)
 
 
+def _report_keys(report) -> dict:
+    """The keys a SolveReport gives report.json and pcfit.json."""
+    return {"iterations": report.iterations,
+            "residual": report.final_relative_residual,
+            "solver": report.solver}
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 
@@ -337,7 +360,7 @@ def cmd_solve(config, out: Path):
     f = _build_rhs(config, mesh)
     u, report = _solve(a, f, config.get("solver", {}))
     write_field_csv(out / "u.csv", mesh, u.values, "nodes")
-    _write_json(out / "report.json", report.to_json_dict(), config)
+    _write_json(out / "report.json", _report_keys(report), config)
 
 
 def cmd_recover(config, out: Path):
@@ -348,21 +371,21 @@ def cmd_recover(config, out: Path):
     if config["mode"] == "pwc":
         part = Partition(mesh, config["partition_n"])
         rec = recover_pwc(u, f, part, bounds=(lam, Lam))
-        rec.write_csv(out / "a_rec.csv")
+        write_csv(out / "a_rec.csv", "q_index,value,flag",
+                  [np.arange(len(rec.flags)), rec.values, rec.flags])
         payload = {"mode": "pwc", "partition_n": part.n,
                    "n_flagged": sum(fl != "ok" for fl in rec.flags)}
     else:
         rec = recover_1d(u, f, config.get("w_excl"), lam=lam, Lam=Lam)
         write_field_csv(out / "a_rec.csv", mesh, rec.values, "cells")
-        payload = ({"mode": "1d", "n_clamped": rec.n_clamped}
-                   | rec.to_json_dict())
+        payload = {"mode": "1d", "n_clamped": rec.n_clamped,
+                   "gamma_hat": rec.gamma_hat, "w_excl": rec.w_excl}
     _write_json(out / "recovery.json", payload, config)
 
 
-def cmd_scan(config, out: Path, seed_override=None, threads: int = 1):
+def cmd_scan(config, out: Path, threads: int = 1):
     mesh = Mesh(**config["mesh"])
     exp = config["experiment"]
-    seeds = [seed_override] if seed_override is not None else exp["seeds"]
     solver = config.get("solver", {})
     f = RightHandSide.constant(mesh, 1.0)
     reports = []
@@ -373,21 +396,24 @@ def cmd_scan(config, out: Path, seed_override=None, threads: int = 1):
         return u
 
     kwargs = {arg: exp[key] for key, arg in _FAMILY_ARGS.items() if key in exp}
-    pairs = coefficient_family(exp["family"], seeds, mesh, **kwargs)
-    # stability_scan rejects a floor below 10x the solver tolerance before
-    # it draws the first pair
+    pairs = coefficient_family(exp["family"], exp["seeds"], mesh, **kwargs)
+    # stability_scan rejects a floor below 10x the 2D solver tolerance before
+    # it draws the first pair; the 1D solve is direct and has no tolerance
     floor = {"floor": exp["floor"]} if "floor" in exp else {}
+    tol = solver.get("tol", DEFAULT_TOL) if mesh.dim == 2 else None
     samples, fit = stability_scan(pairs, solve, **floor, workers=threads,
-                                  solver_tol=solver.get("tol", DEFAULT_TOL))
-    write_samples_csv(out / "samples.csv", samples)
+                                  solver_tol=tol)
+    write_csv(out / "samples.csv", "seed,delta_l2,e_h10,excluded",
+              [[s.metadata["seed"] for s in samples],
+               [s.delta_l2 for s in samples], [s.e_h10 for s in samples],
+               [s.excluded for s in samples]])
     # aggregates that do not depend on the order the solves finished in
     iterations = [r.iterations for r in reports]
     effort = {"solves": len(reports), "iterations_min": min(iterations),
               "iterations_max": max(iterations),
               "iterations_sum": sum(iterations),
               "residual_max": max(r.final_relative_residual for r in reports)}
-    _write_json(out / "fit.json", fit.to_json_dict() | {"solver": effort},
-                config)
+    _write_json(out / "fit.json", asdict(fit) | {"solver": effort}, config)
 
 
 def cmd_pcfit(config, out: Path):
@@ -397,9 +423,11 @@ def cmd_pcfit(config, out: Path):
     u, report = _solve(a, f, config.get("solver", {}))
     w = compute_weight(a, u, f)
     fit = fit_pc_beta(w, config["fit"]["n_bins"])
-    write_envelope_csv(out / "envelope.csv", fit)
-    _write_json(out / "pcfit.json", fit.to_json_dict() | report.to_json_dict(),
-                config)
+    write_csv(out / "envelope.csv", "log_dist,log_wmin",
+              [fit.log_dist, fit.log_wmin])
+    payload = {"c_hat": fit.c_hat, "beta_hat": fit.beta_hat, "r2": fit.r2,
+               "n_bins": fit.n_bins}
+    _write_json(out / "pcfit.json", payload | _report_keys(report), config)
 
 
 def cmd_mollcheck(config, out: Path):
@@ -444,23 +472,16 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1,
                         help="scan pairs measured at once (other commands "
                              "ignore it; results are identical for any value)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the experiment seed list (scan only)")
     args = parser.parse_args(argv)
 
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        if args.seed is not None and args.command != "scan":
-            raise ConfigError(
-                f"--seed applies to scan only, not {args.command}")
         config = _load_config(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "scan":
-            cmd_scan(config, out, seed_override=args.seed, threads=args.threads)
+            cmd_scan(config, out, threads=args.threads)
         else:
             COMMANDS[args.command](config, out)
     except InputError as exc:

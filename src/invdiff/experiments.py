@@ -13,7 +13,7 @@ import numpy as np
 from .mesh import Mesh, Partition
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
                     grid_l2, norm_h10, coefficient_h1_seminorm, same_mesh,
-                    weighted_l2_sq, write_csv)
+                    weighted_l2_sq)
 from .forward import RightHandSide, solve_1d
 from .positivity import compute_weight, power_law_fit
 
@@ -21,7 +21,7 @@ __all__ = [
     "PIVOT_ALPHA0", "PairSample", "ExponentFit",
     "LowerBoundValues", "sine_basis", "sine_series", "step_coefficient",
     "coefficient_family", "stability_scan", "fit_exponent",
-    "envelope_constant", "lower_bound_closed_form", "write_samples_csv",
+    "envelope_constant", "lower_bound_closed_form",
     "weighted_estimate_monitor", "nonidentifiability_demo",
 ]
 
@@ -48,11 +48,6 @@ class ExponentFit:
     n_used: int
     n_excluded: int
     status: str = "ok"
-
-    def to_json_dict(self) -> dict:
-        return {"alpha_hat": self.alpha_hat, "c_hat": self.c_hat,
-                "r2": self.r2, "n_used": self.n_used,
-                "n_excluded": self.n_excluded, "status": self.status}
 
 
 def _pivot_g(t: float) -> float:
@@ -158,7 +153,7 @@ def coefficient_family(tag: str, seeds, mesh: Mesh, n_pairs: int = 12,
     mid = 0.5 * (lam + Lam)
     half = 0.5 * (Lam - lam)
     base_amp = 0.35 * (Lam - lam)
-    margin = float(eps_values[-1]) * (Lam - lam)
+    margin = float(eps_values.max()) * (Lam - lam)
     if base_amp + margin >= half:
         raise FieldArgumentError("perturbation amplitudes would leave the class")
     if tag == "smooth-fourier":
@@ -358,11 +353,3 @@ def nonidentifiability_demo(q: float, n_cells: int = 1024) -> float:
     u_q, _, _ = solve_1d(a_q, f)
     u_ref, _, _ = solve_1d(a_ref, f)
     return float(np.max(np.abs(u_q.values - u_ref.values)))
-
-
-def write_samples_csv(path, samples):
-    """Scan samples as CSV with header seed,delta_l2,e_h10,excluded."""
-    write_csv(path, "seed,delta_l2,e_h10,excluded",
-              [[s.metadata["seed"] for s in samples],
-               [s.delta_l2 for s in samples], [s.e_h10 for s in samples],
-               [s.excluded for s in samples]])

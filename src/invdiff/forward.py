@@ -89,11 +89,6 @@ class SolveReport:
     final_relative_residual: float
     solver: str
 
-    def to_json_dict(self) -> dict:
-        return {"iterations": self.iterations,
-                "residual": self.final_relative_residual,
-                "solver": self.solver}
-
 
 # ---------------------------------------------------------------------------
 # 1D: a u' = c - F with F the antiderivative of f (jumps at point masses)

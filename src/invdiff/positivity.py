@@ -11,7 +11,7 @@ import numpy as np
 from .mesh import Mesh, NumericalError
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
                     FieldInvariantError, checked_values, corner_average,
-                    gradient, same_mesh, write_csv)
+                    gradient, same_mesh)
 from .forward import RightHandSide
 
 __all__ = ["WeightField", "PositivityFit", "DegenerateFitError",
@@ -48,10 +48,6 @@ class PositivityFit:
     r2: float
     log_dist: np.ndarray
     log_wmin: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {"c_hat": self.c_hat, "beta_hat": self.beta_hat,
-                "r2": self.r2, "n_bins": self.n_bins}
 
 
 def _interpolate_gradient_sq_to_cells(u: ScalarField) -> np.ndarray:
@@ -158,8 +154,3 @@ def check_pc(w: WeightField, c: float, beta: float):
         int(k) for k in np.unravel_index(flat, ratio.shape))
     worst_ratio = float(ratio.ravel()[flat])
     return worst_ratio >= c, worst_cell, worst_ratio
-
-
-def write_envelope_csv(path, fit: PositivityFit):
-    """Envelope points as CSV with header log_dist,log_wmin."""
-    write_csv(path, "log_dist,log_wmin", [fit.log_dist, fit.log_wmin])

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh, Partition, NumericalError
-from .field import ScalarField, FieldArgumentError, face_gradient, same_mesh, write_csv
+from .field import ScalarField, FieldArgumentError, face_gradient, same_mesh
 from .forward import RightHandSide
 from .mollify import bump_profile
 
@@ -44,10 +44,6 @@ class PwcRecovery:
     values: np.ndarray
     flags: tuple
 
-    def write_csv(self, path):
-        write_csv(path, "q_index,value,flag",
-                  [np.arange(len(self.flags)), self.values, self.flags])
-
 
 @dataclass(frozen=True)
 class Recovery1D:
@@ -56,9 +52,6 @@ class Recovery1D:
     values: np.ndarray
     w_excl: float
     n_clamped: int  # cells whose quotient fell outside [lam, Lam]
-
-    def to_json_dict(self) -> dict:
-        return {"gamma_hat": self.gamma_hat, "w_excl": self.w_excl}
 
 
 def subcube_bump(partition: Partition, q: int):

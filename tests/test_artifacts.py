@@ -1,6 +1,7 @@
-"""Every CSV artifact is written by field.write_csv. The reference_* writers
-below are the per-value f-string loops each artifact had before; the bytes
-written must not change."""
+"""Every CSV artifact is written by field.write_csv, with the header and
+columns the CLI gives it. The reference_* writers below are the per-value
+f-string loops each artifact had before; the bytes written must not
+change."""
 
 import json
 import tempfile
@@ -12,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from invdiff import field
 from invdiff.cli import main
-from invdiff.experiments import PairSample, write_samples_csv
+from invdiff.experiments import PairSample
 from invdiff.field import write_csv, write_field_csv
 from invdiff.mesh import Mesh, Partition
-from invdiff.positivity import PositivityFit, write_envelope_csv
+from invdiff.positivity import PositivityFit
 from invdiff.recovery import PwcRecovery
 
 # values whose text is easy to get wrong: signed zero, the smallest
@@ -99,8 +100,11 @@ def test_pwc_recovery_csv_bytes(tmp_path):
     values[-1] = np.nan  # a zero denominator
     flags = ("ok", "unstable-denominator", "out-of-range") * 5 + ("ok",)
     rec = PwcRecovery(part, values, flags)
-    assert same_bytes(tmp_path, rec.write_csv,
-                      lambda p: reference_write_pwc_csv(p, rec))
+    assert same_bytes(
+        tmp_path,
+        lambda p: write_csv(p, "q_index,value,flag",
+                            [np.arange(len(rec.flags)), rec.values, rec.flags]),
+        lambda p: reference_write_pwc_csv(p, rec))
 
 
 # seeds past the int64 range are written as Python writes them too
@@ -112,16 +116,24 @@ def test_samples_csv_bytes(tmp_path, seeds):
                           excluded=k % 3 == 1)
                for k in range(len(SPECIAL))]
     assert any(s.excluded for s in samples)
-    assert same_bytes(tmp_path, lambda p: write_samples_csv(p, samples),
-                      lambda p: reference_write_samples_csv(p, samples))
+    assert same_bytes(
+        tmp_path,
+        lambda p: write_csv(p, "seed,delta_l2,e_h10,excluded",
+                            [[s.metadata["seed"] for s in samples],
+                             [s.delta_l2 for s in samples],
+                             [s.e_h10 for s in samples],
+                             [s.excluded for s in samples]]),
+        lambda p: reference_write_samples_csv(p, samples))
 
 
 def test_envelope_csv_bytes(tmp_path):
     values = values_with_specials(2 * len(SPECIAL), seed=2)
     fit = PositivityFit(c_hat=1.0, beta_hat=2.0, n_bins=len(SPECIAL), r2=1.0,
                         log_dist=values[::2], log_wmin=values[1::2])
-    assert same_bytes(tmp_path, lambda p: write_envelope_csv(p, fit),
-                      lambda p: reference_write_envelope_csv(p, fit))
+    assert same_bytes(
+        tmp_path,
+        lambda p: write_csv(p, "log_dist,log_wmin", [fit.log_dist, fit.log_wmin]),
+        lambda p: reference_write_envelope_csv(p, fit))
 
 
 def test_moll_csv_bytes(tmp_path):

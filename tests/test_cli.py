@@ -241,25 +241,38 @@ class TestScan:
 
     def test_floor_vs_tol_guard(self, tmp_path):
         cfg = write_config(tmp_path, "scan.json", {
-            "mesh": {"dim": 1, "n": 256},
+            "mesh": {"dim": 2, "n": 16},
             "solver": {"tol": 1e-8},
             "experiment": {"family": "smooth-fourier", "seeds": [1],
                            "floor": 1e-8},
         })
         assert run("scan", cfg, tmp_path / "out") == EXIT_CONFIG
 
-    def test_seed_override(self, tmp_path):
+    def test_1d_floor_has_no_solver_tolerance(self, tmp_path):
+        # the 1D solve is direct: a floor below 10x the 2D default
+        # tolerance is the scan's to choose
         cfg = write_config(tmp_path, "scan.json", {
-            "mesh": {"dim": 1, "n": 512},
-            "experiment": {"family": "smooth-fourier", "seeds": [3],
-                           "n_pairs": 9},
+            "mesh": {"dim": 1, "n": 256},
+            "experiment": {"family": "smooth-fourier", "seeds": [1],
+                           "floor": 1e-12},
         })
-        out1, out2 = tmp_path / "s3", tmp_path / "s4"
-        assert main(["scan", "--config", cfg, "--out", str(out1)]) == EXIT_OK
-        assert main(["scan", "--config", cfg, "--out", str(out2),
-                     "--seed", "4"]) == EXIT_OK
-        assert (out1 / "samples.csv").read_bytes() != \
-            (out2 / "samples.csv").read_bytes()
+        assert run("scan", cfg, tmp_path / "out") == EXIT_OK
+        assert (tmp_path / "out" / "fit.json").exists()
+
+    def test_descending_amplitudes_checked_at_the_largest(self, tmp_path,
+                                                          capsys):
+        # eps_min above the default eps_max of 0.1: the largest amplitude
+        # is the first, and it leaves the class
+        cfg = write_config(tmp_path, "scan.json", {
+            "mesh": {"dim": 1, "n": 256},
+            "experiment": {"family": "smooth-fourier", "seeds": [3],
+                           "eps_min": 0.3},
+        })
+        assert run("scan", cfg, tmp_path / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "invdiff: config error: perturbation amplitudes would leave "
+            "the class\n")
+        assert not (tmp_path / "out" / "fit.json").exists()
 
     def test_negative_seeds_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "scan.json", {
@@ -269,11 +282,6 @@ class TestScan:
         out = tmp_path / "out"
         assert run("scan", cfg, out) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("invdiff: config error:")
-        cfg = write_config(tmp_path, "scan.json", self.SCAN)
-        assert main(["scan", "--config", cfg, "--out", str(out),
-                     "--seed", "-5"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--seed" in err
         assert not out.exists()
 
     # scan pairs run on --threads workers; every byte must stay the same
@@ -294,11 +302,11 @@ class TestScan:
 
     @pytest.mark.parametrize("dim,threads", [(1, 1), (2, 1), (2, 2)])
     def test_fit_reports_solver_effort(self, tmp_path, dim, threads):
+        solver = {"solver": {"tol": 1e-10}} if dim == 2 else {}
         cfg = write_config(tmp_path, "scan.json", {
             "mesh": {"dim": dim, "n": 16 if dim == 2 else 256},
-            "solver": {"tol": 1e-10},
             "experiment": {"family": "smooth-fourier", "seeds": [1, 2],
-                           "n_pairs": 3}})
+                           "n_pairs": 3}} | solver)
         assert main(["scan", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--threads", str(threads)]) == EXIT_OK
         effort = json.loads((tmp_path / "out" / "fit.json").read_text())["solver"]
@@ -374,7 +382,9 @@ class TestPcfit:
         payload = {"mesh": mesh,
                    "coefficient": {"kind": "fourier", "seed": 3,
                                    "lambda": 0.5, "Lambda": 2.0},
-                   "rhs": {"constant": 1.0}, "solver": {"tol": 1e-9}}
+                   "rhs": {"constant": 1.0}}
+        if mesh["dim"] == 2:
+            payload["solver"] = {"tol": 1e-9}
         cfg = write_config(tmp_path, "s.json", payload)
         assert run("solve", cfg, tmp_path / "s") == EXIT_OK
         cfg = write_config(tmp_path, "p.json", payload | {"fit": {"n_bins": 8}})
@@ -455,21 +465,6 @@ def test_threads_validation(tmp_path):
     cfg = write_config(tmp_path, "c.json", SOLVE_2D)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--threads", "0"]) == EXIT_CONFIG
-
-
-@pytest.mark.parametrize("command, payload", [
-    ("solve", SOLVE_2D),
-    ("pcfit", SOLVE_2D | {"fit": {"n_bins": 8}}),
-])
-def test_seed_outside_scan_fails_fast(tmp_path, capsys, command, payload):
-    cfg = write_config(tmp_path, "c.json", payload)
-    out = tmp_path / "o"
-    assert main([command, "--config", cfg, "--out", str(out),
-                 "--seed", "5"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--seed" in err
-    assert not out.exists()
-    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
 
 
 SOLVE_1D = {
@@ -645,8 +640,8 @@ def test_integral_floats_and_bools_rejected(tmp_path, capsys, command, payload,
      ["'seed'"]),
     ("mollcheck", {"mesh": {"dim": 2, "n": 64}, "field": "step"}, [],
      ["mesh/dim"]),
-    ("scan", with_value(scan_config(1), "experiment/seeds", []),
-     ["--seed", "3"], ["experiment/seeds"]),
+    ("scan", with_value(scan_config(1), "experiment/seeds", []), [],
+     ["experiment/seeds"]),
 ])
 def test_config_the_case_does_not_read_is_config_error(
         tmp_path, capsys, command, payload, args, named):
@@ -674,6 +669,41 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, command, payload, path,
     err = capsys.readouterr().err
     assert err.startswith("invdiff: config error:") and shown in err
     assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_flag_is_unrecognised(tmp_path, capsys):
+    # a scan runs the config's seeds only, so its config_hash names them
+    cfg = write_config(tmp_path, "c.json", scan_config(1))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scan", "--config", cfg, "--out", str(tmp_path / "out"),
+              "--seed", "4"])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --seed 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# the 1D solve is direct and reads no solver settings
+@pytest.mark.parametrize("command,payload", [("solve", SOLVE_1D),
+                                             ("scan", scan_config(1)),
+                                             ("pcfit", SOLVE_1D | FIT)])
+def test_1d_solver_block_is_config_error(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "c.json",
+                       payload | {"solver": {"tol": 1e-10}})
+    assert run(command, cfg, tmp_path / "out") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invdiff: config error: bad config at solver: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_key_is_config_error(tmp_path, capsys):
+    # json.load alone would keep the last value and run at n = 128
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(SOLVE_1D).replace('"n": 64', '"n": 64, "n": 128'))
+    assert run("solve", str(cfg), tmp_path / "out") == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "invdiff: config error: config repeats the key 'n'\n")
     assert not (tmp_path / "out").exists()
 
 

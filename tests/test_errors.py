@@ -11,10 +11,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import invdiff
 from invdiff import InputError, NumericalError, cli
+from invdiff.experiments import (PairSample, coefficient_family,
+                                 envelope_constant, lower_bound_closed_form,
+                                 stability_scan)
+from invdiff.field import FieldArgumentError, weighted_l2_sq, write_field_csv
+from invdiff.forward import series_cube
+from invdiff.mesh import Mesh, MeshArgumentError, Partition
 
 # every error class the package defines, with the builtin base its callers
 # may catch it by
@@ -128,3 +135,54 @@ def test_process_exit_code(tmp_path, command, payload, code, prefix):
     assert len(proc.stderr.strip().splitlines()) == 1
     assert proc.stderr.startswith(prefix)
     assert not list(tmp_path.glob("out/*"))
+
+
+MESH_1D = Mesh(1, 8)
+PART_2D = Partition(Mesh(2, 8), 2)
+
+
+# the argument guards of library calls that no command can reach with a
+# schema-valid config: each raises its class with its message
+@pytest.mark.parametrize("call,cls,message", [
+    (lambda tmp: next(coefficient_family("smooth-fourier", [1], MESH_1D,
+                                         n_pairs=0)),
+     FieldArgumentError, "n_pairs must be >= 1, got 0"),
+    (lambda tmp: stability_scan([], None, floor=0),
+     FieldArgumentError, "floor must be > 0, got 0"),
+    (lambda tmp: envelope_constant(
+        [PairSample(1.0, 1.0, {}, excluded=True)], 0.5),
+     FieldArgumentError, "no included samples"),
+    (lambda tmp: lower_bound_closed_form(0.5, alpha=1.0),
+     FieldArgumentError, "alpha must be in (0,1), got 1.0"),
+    (lambda tmp: lower_bound_closed_form(0.5, alpha=0.0),
+     FieldArgumentError, "alpha must be in (0,1), got 0.0"),
+    (lambda tmp: weighted_l2_sq(MESH_1D, np.ones(7), np.ones(8)),
+     FieldArgumentError, "weighted_l2_sq inputs must be cellwise"),
+    (lambda tmp: weighted_l2_sq(MESH_1D, np.ones(8), np.ones((8, 1))),
+     FieldArgumentError, "weighted_l2_sq inputs must be cellwise"),
+    (lambda tmp: write_field_csv(tmp / "a.csv", MESH_1D, np.ones(8), "faces"),
+     FieldArgumentError, "location must be 'cells' or 'nodes', got 'faces'"),
+    (lambda tmp: write_field_csv(tmp / "a.csv", MESH_1D, np.ones(8), "nodes"),
+     FieldArgumentError, "array shape (8,) != (7,)"),
+    (lambda tmp: series_cube([0.5], 9, 2),
+     FieldArgumentError, "point [0.5] does not match d=2"),
+    (lambda tmp: Partition(MESH_1D, 0),
+     MeshArgumentError, "partition n must be >= 1, got 0"),
+    (lambda tmp: PART_2D.cell_mask(4),
+     MeshArgumentError, "subcube index 4 out of range"),
+    (lambda tmp: PART_2D.cell_mask(-1),
+     MeshArgumentError, "subcube index -1 out of range"),
+    (lambda tmp: PART_2D.subcube_center(4),
+     MeshArgumentError, "subcube index 4 out of range"),
+    (lambda tmp: PART_2D.subcube_center(-1),
+     MeshArgumentError, "subcube index -1 out of range"),
+], ids=["family_n_pairs", "scan_floor", "envelope_all_excluded",
+        "closed_form_alpha_1", "closed_form_alpha_0", "weighted_ratio_shape",
+        "weighted_w_shape", "field_csv_location", "field_csv_shape",
+        "series_cube_point", "partition_n", "cell_mask_high", "cell_mask_low",
+        "subcube_center_high", "subcube_center_low"])
+def test_library_argument_guards(tmp_path, call, cls, message):
+    with pytest.raises(cls) as info:
+        call(tmp_path)
+    assert type(info.value) is cls and str(info.value) == message
+    assert not list(tmp_path.iterdir())

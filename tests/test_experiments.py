@@ -16,8 +16,7 @@ from invdiff.experiments import (PIVOT_ALPHA0, coefficient_family,
                                  stability_scan, fit_exponent,
                                  envelope_constant, lower_bound_closed_form,
                                  weighted_estimate_monitor,
-                                 nonidentifiability_demo, write_samples_csv,
-                                 PairSample)
+                                 nonidentifiability_demo, PairSample)
 
 
 def g(t):
@@ -366,17 +365,12 @@ class TestNonidentifiability:
             nonidentifiability_demo(2.0)
 
 
-def test_envelope_constant_and_csv(tmp_path):
+def test_envelope_constant_and_csv():
     samples = [PairSample(1.0, 1.0, {"seed": 0}),
                PairSample(2.0, 4.0, {"seed": 1}),
                PairSample(0.0, 1e-12, {"seed": 2}, excluded=True)]
     c = envelope_constant(samples, 0.5)
     assert c == pytest.approx(1.0)
-    path = tmp_path / "s.csv"
-    write_samples_csv(path, samples)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "seed,delta_l2,e_h10,excluded"
-    assert lines[3].endswith(",1")
 
 
 def reference_sine_series(xi, basis):
