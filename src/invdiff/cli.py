@@ -126,8 +126,9 @@ SCHEMAS = {
             "smooth-fourier": (_FAMILY | _CLASS, ["seeds"]),
             "pwc-random": (_FAMILY | _CLASS | {"partition_n": _PARTITION_N},
                            ["seeds"]),
-            # the family keeps step_coefficient's class bounds
-            "step-1d-lowerbound": (_FAMILY, ["seeds"]),
+            # step_coefficient's class bounds; it draws nothing, so one seed
+            "step-1d-lowerbound": (
+                _FAMILY | {"seeds": _FAMILY["seeds"] | {"maxItems": 1}}, ["seeds"]),
         }),
     }, ["mesh", "experiment"]),
     "pcfit": _object({
@@ -344,13 +345,6 @@ def _solve(a: CoefficientField, f: RightHandSide, solver: dict):
     return solve_fd_2d(a, f, **solver)
 
 
-def _report_keys(report) -> dict:
-    """The keys a SolveReport gives report.json and pcfit.json."""
-    return {"iterations": report.iterations,
-            "residual": report.final_relative_residual,
-            "solver": report.solver}
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 
@@ -360,7 +354,7 @@ def cmd_solve(config, out: Path):
     f = _build_rhs(config, mesh)
     u, report = _solve(a, f, config.get("solver", {}))
     write_field_csv(out / "u.csv", mesh, u.values, "nodes")
-    _write_json(out / "report.json", _report_keys(report), config)
+    _write_json(out / "report.json", asdict(report), config)
 
 
 def cmd_recover(config, out: Path):
@@ -412,7 +406,7 @@ def cmd_scan(config, out: Path, threads: int = 1):
     effort = {"solves": len(reports), "iterations_min": min(iterations),
               "iterations_max": max(iterations),
               "iterations_sum": sum(iterations),
-              "residual_max": max(r.final_relative_residual for r in reports)}
+              "residual_max": max(r.residual for r in reports)}
     _write_json(out / "fit.json", asdict(fit) | {"solver": effort}, config)
 
 
@@ -427,7 +421,7 @@ def cmd_pcfit(config, out: Path):
               [fit.log_dist, fit.log_wmin])
     payload = {"c_hat": fit.c_hat, "beta_hat": fit.beta_hat, "r2": fit.r2,
                "n_bins": fit.n_bins}
-    _write_json(out / "pcfit.json", payload | _report_keys(report), config)
+    _write_json(out / "pcfit.json", payload | asdict(report), config)
 
 
 def cmd_mollcheck(config, out: Path):

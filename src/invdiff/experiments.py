@@ -18,7 +18,7 @@ from .forward import RightHandSide, solve_1d
 from .positivity import compute_weight, power_law_fit
 
 __all__ = [
-    "PIVOT_ALPHA0", "PairSample", "ExponentFit",
+    "PIVOT_ALPHA0", "FAMILY_TAGS", "PairSample", "ExponentFit",
     "LowerBoundValues", "sine_basis", "sine_series", "step_coefficient",
     "coefficient_family", "stability_scan", "fit_exponent",
     "envelope_constant", "lower_bound_closed_form",
@@ -150,6 +150,7 @@ def coefficient_family(tag: str, seeds, mesh: Mesh, n_pairs: int = 12,
                 yield a, b, meta
         return
 
+    CoefficientField.check_class(lam, Lam)
     mid = 0.5 * (lam + Lam)
     half = 0.5 * (Lam - lam)
     base_amp = 0.35 * (Lam - lam)
@@ -323,7 +324,7 @@ def weighted_estimate_monitor(a: CoefficientField, b: CoefficientField,
     u_b = solve(b)
     w = compute_weight(a, u_a, f)
     delta = a.values - b.values
-    lhs = weighted_l2_sq(mesh, delta ** 2 / a.values ** 2, w.clipped())
+    lhs = weighted_l2_sq(mesh, delta ** 2 / a.values ** 2, np.maximum(w.values, 0.0))
     diff = ScalarField(mesh, u_a.values - u_b.values)
     grad_bound = max(coefficient_h1_seminorm(a), coefficient_h1_seminorm(b))
     rhs_norm = norm_h10(diff) * f.sup_norm * (1.0 + grad_bound)
@@ -334,7 +335,7 @@ def weighted_estimate_monitor(a: CoefficientField, b: CoefficientField,
     return lhs, rhs_norm, ratio
 
 
-def nonidentifiability_demo(q: float, n_cells: int = 1024) -> float:
+def nonidentifiability_demo(q: float) -> float:
     """Sup-norm gap between the solution for the two-level coefficient a_q
     (with right side a point mass of weight 2 at 1/2) and the q = 1 hat.
 
@@ -343,7 +344,7 @@ def nonidentifiability_demo(q: float, n_cells: int = 1024) -> float:
     """
     if not 0.0 < q < 2.0:
         raise FieldArgumentError(f"q must be in (0,2), got {q}")
-    mesh = Mesh(1, n_cells)
+    mesh = Mesh(1, 1024)
     f = RightHandSide.point_mass(mesh, 0.5, 2.0)
     x = mesh.cell_centers_1d()
     lam = 0.5 * min(q, 2.0 - q, 1.0)

@@ -15,7 +15,7 @@ from .mesh import Mesh, InputError
 __all__ = [
     "CoefficientField", "ScalarField",
     "FieldArgumentError", "FieldInvariantError", "checked_values", "same_mesh",
-    "face_gradient", "gradient", "corner_average", "grid_l2", "norm_h10",
+    "face_gradient", "corner_average", "grid_l2", "norm_h10",
     "coefficient_h1_seminorm", "weighted_l2_sq",
     "write_csv", "write_field_csv", "read_field_csv",
 ]
@@ -64,13 +64,16 @@ class CoefficientField:
 
     def __post_init__(self):
         values = checked_values(self, self.mesh.cell_shape)
-        if not (0 < self.lam < self.Lam):
-            raise FieldInvariantError(
-                f"need 0 < lam < Lam, got ({self.lam}, {self.Lam})")
+        self.check_class(self.lam, self.Lam)
         if values.min() < self.lam or values.max() > self.Lam:
             raise FieldInvariantError(
                 f"coefficient range [{values.min()}, {values.max()}] leaves "
                 f"[{self.lam}, {self.Lam}]")
+
+    @staticmethod
+    def check_class(lam: float, Lam: float) -> None:
+        if not (0 < lam < Lam):
+            raise FieldInvariantError(f"need 0 < lam < Lam, got ({lam}, {Lam})")
 
     @staticmethod
     def constant(mesh: Mesh, value: float, lam: float, Lam: float) -> "CoefficientField":
@@ -97,8 +100,9 @@ class ScalarField:
 
 
 def face_gradient(u: ScalarField, k: int) -> np.ndarray:
-    """Component k of gradient(u), built from u.values with no padded copy:
-    bit for bit np.diff(u.padded(), axis=k) / h, signed zeros included."""
+    """Component k of grad u, on the faces across axis k, built from u.values
+    with no padded copy: bit for bit np.diff(u.padded(), axis=k) / h, signed
+    zeros included."""
     dim, n = u.mesh.dim, u.mesh.n
     g = np.zeros(tuple(n if ax == k else n + 1 for ax in range(dim)))
     # the face lines on the boundary across the other axes stay zero
@@ -115,17 +119,6 @@ def face_gradient(u: ScalarField, k: int) -> np.ndarray:
     np.subtract(0.0, v[along(slice(n - 2, None))], out=inner[along(slice(n - 1, None))])
     g /= u.mesh.h
     return g
-
-
-def gradient(u: ScalarField) -> tuple:
-    """Divided differences of adjacent nodal values with spacing h, one
-    face-centered component per axis.
-
-    dim 1: one component of shape (N,), living at cell midpoints.
-    dim 2: components (gx, gy) of shapes (N, N+1) and (N+1, N); gx[i, j]
-    sits between nodes (i, j) and (i+1, j).
-    """
-    return tuple(face_gradient(u, k) for k in range(u.mesh.dim))
 
 
 def corner_average(values: np.ndarray, axes=None) -> np.ndarray:
@@ -150,20 +143,12 @@ def grid_l2(mesh: Mesh, values: np.ndarray) -> float:
     return float(np.sqrt(mesh.h ** mesh.dim * np.sum(v * v)))
 
 
-def _difference_norm(mesh: Mesh, values: np.ndarray) -> float:
-    """sqrt(h^d * sum of the squared divided differences along every axis)."""
-    total = 0.0
-    for k in range(mesh.dim):
-        g = np.diff(values, axis=k) / mesh.h
-        total += float(np.sum(g * g))
-    return float(np.sqrt(mesh.h ** mesh.dim * total))
-
-
 def norm_h10(u: ScalarField) -> float:
     """Discrete H1_0 seminorm ||grad u||_{L2}, faces weighted h^d.
 
     One gradient component at a time, squared in place: the same bits as
-    _difference_norm(u.mesh, u.padded()) with one face array alive.
+    the squared np.diff of u.padded() along each axis, with one face array
+    alive.
     """
     total = 0.0
     for k in range(u.mesh.dim):
@@ -174,8 +159,13 @@ def norm_h10(u: ScalarField) -> float:
 
 
 def coefficient_h1_seminorm(a) -> float:
-    """Discrete ||grad a||_{L2} of a cell field via adjacent-cell differences."""
-    return _difference_norm(a.mesh, np.asarray(a.values, dtype=float))
+    """Discrete ||grad a||_{L2} of a cell field via adjacent-cell differences:
+    sqrt(h^d * sum of the squared divided differences along every axis)."""
+    mesh, total = a.mesh, 0.0
+    for k in range(mesh.dim):
+        g = np.diff(a.values, axis=k) / mesh.h
+        total += float(np.sum(g * g))
+    return float(np.sqrt(mesh.h ** mesh.dim * total))
 
 
 def weighted_l2_sq(mesh: Mesh, ratio_sq: np.ndarray, w: np.ndarray) -> float:
@@ -386,76 +376,33 @@ def write_field_csv(path, mesh: Mesh, values: np.ndarray, location: str = "cells
     write_csv(path, _FIELD_HEADERS[mesh.dim], [*index, values.ravel()])
 
 
-def _field_row_type(dim: int, index_type) -> list:
-    return [(f"i{k}", index_type) for k in range(dim)] + [("value", np.float64)]
+def _load_field_rows(path, dim: int, index_type, has_rows: bool) -> np.ndarray:
+    """The rows of a field CSV as a table of columns i0.. and value; an empty
+    table for a body without rows, on which np.loadtxt warns."""
+    row_type = [(f"i{k}", index_type) for k in range(dim)] + [("value", np.float64)]
+    if not has_rows:
+        return np.empty(0, row_type)
+    return np.loadtxt(path, dtype=row_type, delimiter=",", comments=None,
+                      skiprows=1, ndmin=1)
 
 
-def _load_field_rows(path, dim: int, index_type) -> np.ndarray:
-    return np.loadtxt(path, dtype=_field_row_type(dim, index_type), delimiter=",",
-                      comments=None, skiprows=1, ndmin=1)
-
-
-def _placed_rows(rows, lo: int, hi: int, shape):
-    """The field that rows give, or None if they do not give one. min and
-    max check the columns and the values, and the rows go straight into
-    out, the only array made; a NaN left in out marks a position no row
-    reached, so, with one row per position, another came twice."""
+def _placed_rows(rows, lo: int, hi: int, shape) -> np.ndarray:
+    """The field that rows give, else a FieldArgumentError naming their first
+    fault. min and max check the columns and the values, and the rows go
+    straight into out, the only full-size array made, one scatter at a time;
+    a NaN left in out marks a position no row reached, so another came twice."""
     cols = [rows[f"i{k}"] for k in range(len(shape))]
     values = rows["value"]
-    if not (len(values) == math.prod(shape)
+    if (len(values) == math.prod(shape)
             and all(lo <= c.min() and c.max() < hi for c in cols)
             and np.isfinite(values.min()) and np.isfinite(values.max())):
-        return None
-    for c in cols:
-        c -= lo
-    out = np.full(shape, np.nan)
-    for start in range(0, len(values), _SCATTER_ROWS):
-        part = slice(start, start + _SCATTER_ROWS)
-        out[tuple(c[part] for c in cols)] = values[part]
-    return None if np.isnan(out.min()) else out
-
-
-def read_field_csv(path, mesh: Mesh, location: str = "cells") -> np.ndarray:
-    """Read a field CSV written by write_field_csv; rows may come in any
-    order and blank lines are skipped, but every position of the declared
-    mesh must appear exactly once with a finite value."""
-    lo, hi, shape = _index_range(mesh, location)
-    expected_header = _FIELD_HEADERS[mesh.dim]
-    try:
-        with open(path, encoding="utf-8") as f:
-            header = f.readline().strip()
-            if header != expected_header:
-                raise FieldArgumentError(
-                    f"bad field CSV header {header!r}, expected {expected_header!r}")
-            # np.loadtxt warns, rather than raising, on a body without rows
-            has_rows = any(line.strip() for line in f)
-    except UnicodeDecodeError as exc:
-        raise FieldArgumentError(
-            f"field CSV {path} is not UTF-8 text: {exc}") from None
-    if has_rows:
-        # the success path parses the indices as the narrowest type that
-        # holds -hi (int16 for any 2D mesh under MAX_CELLS), a table of
-        # 10-12 bytes a row instead of 24; an index beyond that type raises
-        # ValueError rather than wrapping
-        try:
-            rows = _load_field_rows(path, mesh.dim, np.min_scalar_type(-hi))
-        except ValueError:
-            pass
-        else:
-            out = _placed_rows(rows, lo, hi, shape)
-            if out is not None:
-                return out
-        # a parse error or a failed check: the int64 table names the first
-        # fault, where an index beyond the narrow type is out of range
-        try:
-            rows = _load_field_rows(path, mesh.dim, np.int64)
-        except ValueError as exc:
-            raise FieldArgumentError(f"malformed field CSV body: {exc}") from None
-    else:
-        rows = np.empty(0, _field_row_type(mesh.dim, np.int64))
-    cols = [rows[f"i{k}"] for k in range(mesh.dim)]
-    values = rows["value"]
-    # a faulty file: name its first fault, in the order of the checks below
+        out = np.full(shape, np.nan)
+        for start in range(0, len(values), _SCATTER_ROWS):
+            part = slice(start, start + _SCATTER_ROWS)
+            out[tuple(c[part] - lo for c in cols)] = values[part]
+        if not np.isnan(out.min()):
+            return out
+    # a faulty table: name its first fault, in the order of the checks below
     idx = np.stack(cols)
     bad = np.flatnonzero(np.any((idx < lo) | (idx >= hi), axis=0))
     if bad.size:
@@ -477,3 +424,34 @@ def read_field_csv(path, mesh: Mesh, location: str = "cells") -> np.ndarray:
     raise FieldArgumentError(
         f"field CSV row count {len(values)} does not cover declared mesh "
         f"shape {shape}")
+
+
+def read_field_csv(path, mesh: Mesh, location: str = "cells") -> np.ndarray:
+    """Read a field CSV written by write_field_csv; rows may come in any
+    order and blank lines are skipped, but every position of the declared
+    mesh must appear exactly once with a finite value."""
+    lo, hi, shape = _index_range(mesh, location)
+    expected_header = _FIELD_HEADERS[mesh.dim]
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip()
+            if header != expected_header:
+                raise FieldArgumentError(
+                    f"bad field CSV header {header!r}, expected {expected_header!r}")
+            has_rows = any(line.strip() for line in f)
+    except UnicodeDecodeError as exc:
+        raise FieldArgumentError(
+            f"field CSV {path} is not UTF-8 text: {exc}") from None
+    # the indices are parsed as the narrowest type that holds -hi (int16 for
+    # any 2D mesh under MAX_CELLS), a table of 10-12 bytes a row instead of
+    # 24; an index beyond that type raises ValueError rather than wrapping,
+    # and only then is the body parsed again, as int64, to tell an index out
+    # of range from a malformed body
+    try:
+        rows = _load_field_rows(path, mesh.dim, np.min_scalar_type(-hi), has_rows)
+    except ValueError:
+        try:
+            rows = _load_field_rows(path, mesh.dim, np.int64, has_rows)
+        except ValueError as exc:
+            raise FieldArgumentError(f"malformed field CSV body: {exc}") from None
+    return _placed_rows(rows, lo, hi, shape)

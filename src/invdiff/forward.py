@@ -86,7 +86,7 @@ class RightHandSide:
 @dataclass(frozen=True)
 class SolveReport:
     iterations: int
-    final_relative_residual: float
+    residual: float  # final relative residual
     solver: str
 
 
@@ -136,7 +136,7 @@ def solve_1d(a: CoefficientField, f: RightHandSide):
     scale = float(np.max(np.abs(u_full)))
     closure = abs(float(u_full[-1])) / scale if scale > 0 else 0.0
     u = ScalarField(mesh, u_full[1:-1])
-    report = SolveReport(iterations=0, final_relative_residual=closure,
+    report = SolveReport(iterations=0, residual=closure,
                          solver="exact1d")
     return u, c, report
 
@@ -358,7 +358,7 @@ def solve_fd_2d(a: CoefficientField, f: RightHandSide,
         x, iterations, rel = _pcg(_five_point(a, scratch), apply_M, b, tol,
                                   max_iter, scratch)
     u = ScalarField(mesh, x)
-    return u, SolveReport(iterations=iterations, final_relative_residual=rel,
+    return u, SolveReport(iterations=iterations, residual=rel,
                           solver="fd2d")
 
 

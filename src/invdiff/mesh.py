@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Mesh", "Partition", "InputError", "NumericalError"]
+__all__ = ["Mesh", "Partition", "InputError", "NumericalError",
+           "MeshArgumentError", "MAX_CELLS"]
 
 
 # cells per mesh: 2**27 float64 values are 1 GiB, for each array of a solve

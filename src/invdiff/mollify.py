@@ -12,7 +12,7 @@ from .field import (CoefficientField, FieldArgumentError, grid_l2,
                     coefficient_h1_seminorm, same_mesh)
 
 __all__ = ["MollifierSpec", "ResolutionError", "mollify",
-           "approximation_functional", "bump_profile"]
+           "approximation_functional", "bump_profile", "KERNELS"]
 
 KERNELS = ("box", "bump")
 

@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +10,7 @@ import numpy as np
 from .mesh import Mesh, NumericalError
 from .field import (CoefficientField, ScalarField, FieldArgumentError,
                     FieldInvariantError, checked_values, corner_average,
-                    gradient, same_mesh)
+                    face_gradient, same_mesh)
 from .forward import RightHandSide
 
 __all__ = ["WeightField", "PositivityFit", "DegenerateFitError",
@@ -33,9 +32,6 @@ class WeightField:
     def __post_init__(self):
         checked_values(self, self.mesh.cell_shape)
 
-    def clipped(self) -> np.ndarray:
-        return np.maximum(self.values, 0.0)
-
 
 @dataclass(frozen=True)
 class PositivityFit:
@@ -51,13 +47,16 @@ class PositivityFit:
 
 
 def _interpolate_gradient_sq_to_cells(u: ScalarField) -> np.ndarray:
-    """|grad u|^2 at cell centers; faces are averaged arithmetically per axis."""
+    """|grad u|^2 at cell centers; faces are averaged arithmetically per axis,
+    one gradient component alive at a time."""
     dim = u.mesh.dim
-    # component k lies on faces across axis k, between the cell centers
-    # along every other axis
-    return functools.reduce(np.add, (
-        corner_average(g, [j for j in range(dim) if j != k]) ** 2
-        for k, g in enumerate(gradient(u))))
+    total = np.zeros(u.mesh.cell_shape)
+    for k in range(dim):
+        # component k lies on faces across axis k, between the cell centers
+        # along every other axis
+        sq = corner_average(face_gradient(u, k), [j for j in range(dim) if j != k])
+        total += np.multiply(sq, sq, out=sq)
+    return total
 
 
 def compute_weight(a: CoefficientField, u: ScalarField,

@@ -16,7 +16,7 @@ from .mollify import bump_profile
 __all__ = [
     "PwcRecovery", "Recovery1D",
     "RecoveryFailureError", "MalformedInputError", "AmbiguousPivotError",
-    "recover_pwc", "recover_1d", "subcube_bump",
+    "recover_pwc", "recover_1d", "subcube_bump", "SANITY_FACTOR",
 ]
 
 SANITY_FACTOR = 10.0  # recovered values outside [lam/10, Lam*10] get flagged

@@ -312,7 +312,7 @@ def test_criterion_9_upper_bound_envelopes():
 
 def test_criterion_10_nonidentifiability():
     h = 1.0 / 1024
-    gaps = {q: nonidentifiability_demo(q, 1024) for q in (0.5, 1.0, 1.5)}
+    gaps = {q: nonidentifiability_demo(q) for q in (0.5, 1.0, 1.5)}
     ok = all(gap <= 10 * h for gap in gaps.values())
     report(10, ok, "sup gaps vs hat: "
            + ", ".join(f"q={q}: {g:.2e}" for q, g in gaps.items())

@@ -274,6 +274,39 @@ class TestScan:
             "the class\n")
         assert not (tmp_path / "out" / "fit.json").exists()
 
+    @pytest.mark.parametrize("family", ["smooth-fourier", "pwc-random"])
+    @pytest.mark.parametrize("lam, Lam", [(2.0, 1.0), (1.0, 1.0)])
+    def test_empty_class_named_before_any_solve(self, tmp_path, capsys,
+                                                monkeypatch, family, lam, Lam):
+        import invdiff.cli as cli
+        solves = []
+        monkeypatch.setattr(cli, "solve_1d", lambda *args: solves.append(args))
+        cfg = write_config(tmp_path, "scan.json", {
+            "mesh": {"dim": 1, "n": 64},
+            "experiment": {"family": family, "seeds": [1],
+                           "lambda": lam, "Lambda": Lam},
+        })
+        assert run("scan", cfg, tmp_path / "out") == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"invdiff: config error: need 0 < lam < Lam, got ({lam}, {Lam})\n")
+        assert not solves
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_step_family_takes_one_seed(self, tmp_path, capsys):
+        # the family draws nothing from its seeds: a second seed would
+        # repeat every pair
+        cfg = write_config(tmp_path, "scan.json", {
+            "mesh": {"dim": 1, "n": 256},
+            "experiment": {"family": "step-1d-lowerbound", "seeds": [1, 2],
+                           "n_pairs": 3},
+        })
+        out = tmp_path / "out"
+        assert run("scan", cfg, out) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "invdiff: config error: bad config at experiment/seeds: [1, 2] "
+            "has 2 items, not 1 to 1\n")
+        assert not out.exists()
+
     def test_negative_seeds_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "scan.json", {
             "mesh": {"dim": 1, "n": 256},

@@ -47,7 +47,8 @@ FULL = {
               "experiment": experiment} for experiment in [
         {"family": "smooth-fourier"} | FAMILY | CLASS,
         {"family": "pwc-random", "partition_n": 2} | FAMILY | CLASS,
-        {"family": "step-1d-lowerbound"} | FAMILY,
+        # the step family draws nothing, so it takes one seed
+        {"family": "step-1d-lowerbound"} | FAMILY | {"seeds": [1]},
     ]],
     "pcfit": [{
         "mesh": {"dim": 1, "n": 64},
@@ -65,7 +66,7 @@ FULL = {
 # what every node of a full config is replaced by in turn
 VALUES = [0, 1, 2, 3, 4, -1, 64, 2 ** 27 + 1, 0.5, 1.0, 2.0, 64.0, -0.5, 1e-12,
           True, False, None, "", "pwc", "1d", "box", "smooth-fourier", [], [1],
-          {}]
+          [1, 2], {}]
 DELETE = object()
 
 

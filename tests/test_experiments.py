@@ -357,7 +357,7 @@ class TestWeightedEstimateMonitor:
 class TestNonidentifiability:
     @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
     def test_one_solution_many_coefficients(self, q):
-        gap = nonidentifiability_demo(q, n_cells=1024)
+        gap = nonidentifiability_demo(q)
         assert gap <= 1e-2
 
     def test_q_validation(self):

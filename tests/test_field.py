@@ -1,3 +1,4 @@
+import contextlib
 import re
 from collections import namedtuple
 
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from invdiff.mesh import Mesh, Partition
 from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
-                           FieldInvariantError, face_gradient, gradient, norm_h10,
+                           FieldInvariantError, face_gradient, norm_h10,
                            grid_l2, coefficient_h1_seminorm,
                            weighted_l2_sq, write_field_csv, read_field_csv)
 from invdiff.forward import RightHandSide, solve_1d, solve_fd_2d
@@ -214,14 +215,14 @@ class TestGradient:
     def test_1d_divided_differences(self):
         mesh = Mesh(1, 4)
         u = ScalarField(mesh, np.array([1.0, 3.0, 2.0]))
-        g = gradient(u)[0]
+        g = face_gradient(u, 0)
         assert np.allclose(g, [4.0, 8.0, -4.0, -8.0])
 
     def test_2d_shapes(self):
         mesh = Mesh(2, 8)
-        g = gradient(ScalarField(mesh, np.ones(mesh.node_shape)))
-        assert g[0].shape == (8, 9)
-        assert g[1].shape == (9, 8)
+        u = ScalarField(mesh, np.ones(mesh.node_shape))
+        assert face_gradient(u, 0).shape == (8, 9)
+        assert face_gradient(u, 1).shape == (9, 8)
 
     @pytest.mark.parametrize("dim,n", [(1, 2), (1, 3), (1, 16), (2, 2), (2, 3), (2, 16)])
     def test_face_gradient_is_diff_of_padded(self, dim, n):
@@ -343,6 +344,32 @@ class TestFieldCsv:
         match = message if message == "malformed" else f"^{re.escape(message)}$"
         with pytest.raises(FieldArgumentError, match=match):
             read_field_csv(path, Mesh(2, 3), "nodes")
+
+    # a body that parses is parsed once, whatever its fault; only a body the
+    # narrow index type cannot hold is parsed again, as int64
+    @pytest.mark.parametrize("rows,parses", [
+        (GOOD_ROWS, 1),
+        (GOOD_ROWS + ["2,2,3.5"], 1),
+        (GOOD_ROWS[:3], 1),
+        (GOOD_ROWS[:3] + ["3,2,3.5"], 1),
+        (GOOD_ROWS[:3] + ["2,1,inf"], 1),
+        ([], 0),
+        (GOOD_ROWS[:3] + ["70000,1,0.5"], 2),
+        (["1,1,abc"] + GOOD_ROWS[1:], 2),
+    ])
+    def test_parses_a_body_once(self, tmp_path, monkeypatch, rows, parses):
+        loadtxt, calls = np.loadtxt, []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["dtype"])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        path = tmp_path / "f.csv"
+        path.write_text("i,j,value\n" + "".join(r + "\n" for r in rows))
+        with contextlib.suppress(FieldArgumentError):
+            read_field_csv(path, Mesh(2, 3), "nodes")
+        assert len(calls) == parses
 
     def test_peak_memory(self, tmp_path, traced_peak):
         # below what np.loadtxt holds with int64 indices: the narrow index

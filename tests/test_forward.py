@@ -110,7 +110,7 @@ class TestSolve1d:
         assert gamma == pytest.approx(0.5, abs=1e-14)
         assert np.max(np.abs(u.values - x * (1 - x) / 2)) <= mesh.h ** 2
         assert report.solver == "exact1d"
-        assert report.final_relative_residual <= 1e-12
+        assert report.residual <= 1e-12
 
     def test_linear_coefficient_gamma(self):
         mesh = Mesh(1, 1024)
@@ -225,7 +225,7 @@ class TestSolveFd2d:
         u, report = solve_fd_2d(a, f, tol=1e-10)
         center = u.values[31, 31]
         assert center == pytest.approx(series_cube([0.5, 0.5], 199, 2), abs=5e-5)
-        assert report.final_relative_residual <= 1e-10
+        assert report.residual <= 1e-10
         assert report.iterations > 0
 
     def test_torsion_off_center_against_series(self):

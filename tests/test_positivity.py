@@ -77,6 +77,18 @@ class TestComputeWeight:
         with pytest.raises(FieldArgumentError):
             compute_weight(a, u, f)
 
+    def test_peak_memory(self, traced_peak):
+        # one gradient component at a time: the running |grad u|^2, one face
+        # component and corner_average's sum and scaled copy, four
+        # (N+1)^2 arrays at most; with both components alive it took five
+        n = 256
+        mesh = Mesh(2, n)
+        a = CoefficientField.constant(mesh, 1.0, 0.5, 2.0)
+        f = RightHandSide.constant(mesh, 1.0)
+        u = ScalarField(mesh, np.ones(mesh.node_shape))
+        _, peak = traced_peak(compute_weight, a, u, f)
+        assert peak <= 4 * (n + 1) ** 2 * 8 + traced_peak.overhead
+
 
 def reference_envelope(w, n_bins):
     """fit_pc_beta's envelope points, found by scanning every cell once per

@@ -3,7 +3,7 @@ import pytest
 
 from invdiff.mesh import Mesh, Partition
 from invdiff.field import (CoefficientField, ScalarField, FieldArgumentError,
-                           gradient, grid_l2, norm_h10)
+                           face_gradient, grid_l2, norm_h10)
 from invdiff.forward import RightHandSide, solve_1d, solve_fd_2d
 from invdiff.recovery import (recover_pwc, recover_1d, subcube_bump, _bump,
                               MalformedInputError, AmbiguousPivotError,
@@ -35,14 +35,15 @@ def reference_recover_pwc(u, f, partition, bounds=None, eps_den=1e-8):
     m = partition.cells_per_side
     hd = h ** mesh.dim
     scale = partition.n ** ((mesh.dim + 2) / 2.0)
-    g_u = gradient(u)
+    g_u = [face_gradient(u, k) for k in range(mesh.dim)]
     values = np.empty(partition.n_subcubes)
     ratios = np.empty(partition.n_subcubes)
     flags = []
     for q in range(partition.n_subcubes):
         phi_cells, phi_nodes = subcube_bump(partition, q)
         interior = phi_nodes[(slice(1, -1),) * mesh.dim]
-        g_phi = gradient(ScalarField(mesh, interior))
+        phi = ScalarField(mesh, interior)
+        g_phi = [face_gradient(phi, k) for k in range(mesh.dim)]
         num = hd * float(np.sum(f.values * phi_cells))
         den = hd * sum(float(np.sum(cu * cp))
                        for cu, cp in zip(g_u, g_phi))
