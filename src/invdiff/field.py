@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, InputError
+from .mesh import Mesh, InputError, NumericalError
 
 __all__ = [
     "CoefficientField", "ScalarField",
@@ -140,7 +140,12 @@ def corner_average(values: np.ndarray, axes=None) -> np.ndarray:
 def grid_l2(mesh: Mesh, values: np.ndarray) -> float:
     """sqrt(h^d * sum(values^2)), the grid L2 norm of any cell/node array."""
     v = np.asarray(values, dtype=float)
-    return float(np.sqrt(mesh.h ** mesh.dim * np.sum(v * v)))
+    # finite values far from 1 can still overflow their squares; checked below
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(mesh.h ** mesh.dim * np.sum(v * v)))
+    if not math.isfinite(norm):
+        raise NumericalError("grid L2 norm overflows to non-finite values")
+    return norm
 
 
 def norm_h10(u: ScalarField) -> float:

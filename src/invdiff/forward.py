@@ -193,6 +193,11 @@ def load_functional(f: RightHandSide, v: ScalarField) -> float:
     return total
 
 
+# values per row block of the stencil: a block's rows of x, y, the face
+# arrays and the scratch array stay in cache across its five passes
+_BLOCK_VALUES = 1 << 15
+
+
 def _five_point(a: CoefficientField, tmp: np.ndarray):
     """Matrix-free five-point operator on (N-1, N-1) interior-node arrays.
 
@@ -202,35 +207,36 @@ def _five_point(a: CoefficientField, tmp: np.ndarray):
     writes A x into out through the scratch array tmp, shaped like x, so
     that repeated applies allocate nothing. tmp holds nothing between
     applies, so a caller may use it for other work in between.
+
+    The rows go in blocks of about _BLOCK_VALUES values, each through the
+    first rows of tmp; every output value still subtracts its four
+    neighbour products in the same order, so the bits do not depend on
+    the blocking.
     """
     ax, ay = face_coefficients(a)
     diag = ax[1:] + ax[:-1] + ay[:, 1:] + ay[:, :-1]
     # a face between two interior nodes couples each of them to the other
     fx, fy = ax[1:-1], ay[:, 1:-1]
+    m = diag.shape[0]
+    rows = max(1, _BLOCK_VALUES // m)
 
     def apply(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        y = np.multiply(diag, x, out=out)
-        y[:-1] -= np.multiply(fx, x[1:], out=tmp[:-1])
-        y[1:] -= np.multiply(fx, x[:-1], out=tmp[:-1])
-        y[:, :-1] -= np.multiply(fy, x[:, 1:], out=tmp[:, :-1])
-        y[:, 1:] -= np.multiply(fy, x[:, :-1], out=tmp[:, :-1])
+        y = np.empty_like(x) if out is None else out
+        for r0 in range(0, m, rows):
+            r1 = min(r0 + rows, m)
+            yb, t = y[r0:r1], tmp[:r1 - r0]
+            np.multiply(diag[r0:r1], x[r0:r1], out=yb)
+            # rows r0..e-1 have a neighbour at i+1, rows w..r1-1 one at i-1
+            e, w = min(r1, m - 1), max(r0, 1)
+            yb[:e - r0] -= np.multiply(fx[r0:e], x[r0 + 1:e + 1],
+                                       out=t[:e - r0])
+            yb[w - r0:] -= np.multiply(fx[w - 1:r1 - 1], x[w - 1:r1 - 1],
+                                       out=t[w - r0:])
+            yb[:, :-1] -= np.multiply(fy[r0:r1], x[r0:r1, 1:], out=t[:, :-1])
+            yb[:, 1:] -= np.multiply(fy[r0:r1], x[r0:r1, :-1], out=t[:, :-1])
         return y
 
     return apply
-
-
-@functools.lru_cache(maxsize=1)
-def _inverse_eigenvalues(n: int) -> np.ndarray:
-    """1/eigenvalues of the unit five-point Dirichlet Laplacian on the
-    (n-1, n-1) interior nodes, in sine-transform order.
-
-    Cached for the last n and read-only, so that the solves of a scan, also
-    concurrent ones, share one table.
-    """
-    s = np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
-    inv_eig = 1.0 / (4.0 * (s[:, None] + s[None, :]))
-    inv_eig.setflags(write=False)
-    return inv_eig
 
 
 @functools.lru_cache(maxsize=1)
@@ -257,7 +263,7 @@ def _pocketfft():
     return module
 
 
-def _laplacian_inverse(n: int):
+def _laplacian_inverse(n: int, tmp: np.ndarray):
     """Exact inverse of the unit five-point Dirichlet Laplacian on the
     (n-1, n-1) interior nodes, diagonalised by the type-1 sine transform.
 
@@ -265,17 +271,20 @@ def _laplacian_inverse(n: int):
     most Lam/lam at every n, so CG iteration counts do not grow with the
     mesh; the missing coefficient scale does not change the CG iterates.
     Single-worker transforms keep the result independent of threading.
-    apply(r, out) transforms in place in out.
+    apply(r, out) transforms in place in out. Each apply writes the inverse
+    eigenvalues 1 / (4 s_i + 4 s_j), s_k = sin^2(pi k / 2n), into the
+    scratch array tmp, shaped like r, which holds nothing between applies;
+    scaling by 4 is exact, so these are the bits of 1 / (4 (s_i + s_j)).
     """
     pfft = _pocketfft()
-    inv_eig = _inverse_eigenvalues(n)
+    t4 = 4.0 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
 
     def apply(r: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.copyto(out, r)
         # dst(a, type, axes, inorm, out, nthreads): inorm 0 and 2 are what
         # scipy.fft.dstn and idstn pass for their default "backward" norm
         c = pfft.dst(out, 1, (0, 1), 0, out, 1)
-        c *= inv_eig
+        c *= np.divide(1.0, np.add.outer(t4, t4, out=tmp), out=tmp)
         return pfft.dst(c, 1, (0, 1), 2, c, 1)
 
     return apply
@@ -292,9 +301,10 @@ def _pcg(apply_A, apply_M, b, tol, max_iter, scratch):
 
     b becomes the residual r and is overwritten. The loop allocates no
     arrays: every update writes into x, r, p, scratch or the one array that
-    z and Ap share, each of the size of b; apply_A may use scratch too, as it
-    holds nothing across calls. z is dead from the update of r to the next
-    apply_M, and Ap from there to the next apply_A, so one array holds both.
+    z and Ap share, each of the size of b; apply_A and apply_M may use
+    scratch too, as it holds nothing across calls. z is dead from the update
+    of r to the next apply_M, and Ap from there to the next apply_A, so one
+    array holds both.
     """
     norm_b = math.sqrt(_dot(b, b, scratch))
     if norm_b == 0.0:
@@ -344,18 +354,13 @@ def solve_fd_2d(a: CoefficientField, f: RightHandSide,
     if tol <= 0:
         raise FieldArgumentError(f"tol must be > 0, got {tol}")
     b = mesh.h ** 2 * corner_average(f.values)
-    # built before the stencil: its first call at an n makes the cached
-    # eigenvalue table, which would otherwise land above the stencil's arrays
-    # in the heap and keep the pages they free resident (three N=512 solves
-    # in one process peak at 59.9 MiB RSS that way, 58.0 MiB this way; loading
-    # the pocketfft extension first makes no difference)
-    apply_M = _laplacian_inverse(mesh.n)
     scratch = np.empty_like(b)
     # an in-bounds coefficient can still overflow its harmonic face mean; the
     # CG breakdown checks then raise SolverError, so numpy's own warnings
     # about the inf and nan on the way there are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        x, iterations, rel = _pcg(_five_point(a, scratch), apply_M, b, tol,
+        x, iterations, rel = _pcg(_five_point(a, scratch),
+                                  _laplacian_inverse(mesh.n, scratch), b, tol,
                                   max_iter, scratch)
     u = ScalarField(mesh, x)
     return u, SolveReport(iterations=iterations, residual=rel,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,23 @@ class TestScan:
         assert capsys.readouterr().err == (
             f"invdiff: config error: need 0 < lam < Lam, got ({lam}, {Lam})\n")
         assert not solves
+        assert not list((tmp_path / "out").iterdir())
+
+    def test_overflowing_delta_is_numerical_failure(self, tmp_path, capsys):
+        # a class this wide draws pairs whose difference squares to inf in
+        # the L2 norm; every row would read delta_l2 = inf
+        cfg = write_config(tmp_path, "scan.json", {
+            "mesh": {"dim": 1, "n": 64},
+            "experiment": {"family": "smooth-fourier", "seeds": [0],
+                           "lambda": 1e-300, "Lambda": 1e300},
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("scan", cfg, tmp_path / "out") == EXIT_NUMERICAL
+        assert not caught
+        assert capsys.readouterr().err == (
+            "invdiff: numerical failure: grid L2 norm overflows to "
+            "non-finite values\n")
         assert not list((tmp_path / "out").iterdir())
 
     def test_step_family_takes_one_seed(self, tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""The 2D solve holds fewer arrays than before: the inverse eigenvalue table
-is cached and shared, CG takes over the right side as its residual, and the
-stencil and the dots share one scratch array. The sine transform comes from
-scipy's pocketfft extension, loaded without the scipy.fft package. The
-reference_* functions keep the earlier bodies on public scipy.fft, and every
-test asserts that the leaner solve gives the same iterate bits, iteration
-count and residual."""
+"""The 2D solve holds fewer arrays than before: CG takes over the right side
+as its residual, and the stencil, the preconditioner's inverse eigenvalues
+and the dots share one scratch array, so no eigenvalue table outlives a
+solve. The stencil runs in row blocks. The sine transform comes from scipy's
+pocketfft extension, loaded without the scipy.fft package. The reference_*
+functions keep the earlier bodies on public scipy.fft, and every test
+asserts that the leaner solve gives the same iterate bits, iteration count
+and residual."""
 
 import importlib.machinery
 import math
@@ -22,8 +23,8 @@ import invdiff
 from invdiff.mesh import Mesh, Partition
 from invdiff.field import CoefficientField, corner_average
 from invdiff.forward import (RightHandSide, SolverError, face_coefficients,
-                             solve_fd_2d, _inverse_eigenvalues, _five_point,
-                             _pocketfft)
+                             solve_fd_2d, _five_point, _laplacian_inverse,
+                             _pocketfft, _BLOCK_VALUES)
 
 NS = (3, 8, 33, 128)
 
@@ -148,28 +149,32 @@ def test_stall_matches_reference(n):
     assert new.value.iterations == ref.value.iterations == 2
 
 
-@pytest.mark.parametrize("n", NS)
+# stencil row blocks at each n above 182, the last one partial
+BLOCKS = {200: 2, 300: 3, 512: 8}
+
+
+@pytest.mark.parametrize("n", NS + tuple(BLOCKS))
 def test_shared_scratch_stencil_matches_reference(n):
+    rows = _BLOCK_VALUES // (n - 1)
+    if n in BLOCKS:
+        assert -(-(n - 1) // rows) == BLOCKS[n] and (n - 1) % rows
+    else:
+        assert rows >= n - 1
     a = coefficient("fourier", n)
     x = np.random.default_rng(n).standard_normal(a.mesh.node_shape)
-    expected = reference_five_point(a)(x)
+    expected_A = reference_five_point(a)(x)
+    expected_M = reference_laplacian_inverse(n)(x, np.empty_like(x))
     scratch = np.full_like(x, np.nan)
-    apply = _five_point(a, scratch)
+    apply_A = _five_point(a, scratch)
+    apply_M = _laplacian_inverse(n, scratch)
     out = np.empty_like(x)
-    for _ in range(2):  # scratch content left by other work does not leak in
-        assert np.array_equal(apply(x, out), expected)
-        scratch.fill(np.inf)
-
-
-@pytest.mark.parametrize("n", NS)
-def test_eigenvalue_table_is_cached_and_read_only(n):
-    s = np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
-    table = _inverse_eigenvalues(n)
-    assert np.array_equal(table, 1.0 / (4.0 * (s[:, None] + s[None, :])))
-    assert _inverse_eigenvalues(n) is table
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 1.0
+    # the two applies take turns on one scratch array, as in CG; content
+    # left in it by other work does not leak in
+    for poison in (np.inf, np.nan, -np.inf):
+        assert np.array_equal(apply_A(x, out), expected_A)
+        scratch.fill(poison)
+        assert np.array_equal(apply_M(x, out), expected_M)
+        scratch.fill(poison)
 
 
 @pytest.mark.parametrize("n", [33, 128])
